@@ -180,7 +180,7 @@ pub struct XarEngine {
 }
 
 /// How the per-ride state columns changed since the last publish —
-/// drained by [`XarEngine::drain_publish_dirt`] and consumed by
+/// drained by `XarEngine::drain_publish_dirt` and consumed by
 /// [`crate::ShardSnapshot::build_incremental`] to pick the cheapest
 /// valid way of producing the next snapshot's ride table.
 #[derive(Debug, Clone, PartialEq, Eq)]

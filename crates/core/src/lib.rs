@@ -55,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod booking;
-pub mod concurrent;
 pub mod engine;
 pub mod error;
 pub mod index;
@@ -69,7 +68,6 @@ pub mod social;
 pub mod tracking;
 
 pub use booking::BookingOutcome;
-pub use concurrent::SharedXarEngine;
 pub use engine::{EngineConfig, EngineStats, EngineStatsSnapshot, RideDirt, XarEngine};
 pub use error::{Reason, XarError};
 pub use index::ClusterIndex;

@@ -1,11 +1,10 @@
 //! Cluster-sharded concurrent engine.
 //!
-//! XAR's workload is ~480 searches per booking (§X.B.2), yet the PR-1
-//! [`crate::concurrent::SharedXarEngine`] funnelled every operation
-//! through one global `RwLock<XarEngine>`: a single writer stalled all
-//! readers, and writes serialized with each other even when they
-//! touched rides on opposite sides of the city. [`ShardedXarEngine`]
-//! removes the global lock:
+//! XAR's workload is ~480 searches per booking (§X.B.2). Behind one
+//! global `RwLock<XarEngine>` a single writer would stall all readers,
+//! and writes would serialize with each other even when they touched
+//! rides on opposite sides of the city. [`ShardedXarEngine`] has no
+//! global lock:
 //!
 //! * The ride state is split into `N` **shards**. A ride lives wholly
 //!   in one shard — its record *and* every one of its potential-rides
@@ -124,10 +123,6 @@ struct Shard {
     /// paths that did not change searchable state (failed creates,
     /// no-progress tracks) skip the rebuild.
     published_version: AtomicU64,
-    /// Nanoseconds since `Inner::anchor` of the last actual publish —
-    /// the coalescing window ([`ShardedXarEngine::set_publish_coalesce_us`])
-    /// is measured against this.
-    last_publish_ns: AtomicU64,
     read_hold_ns: Arc<Histogram>,
     write_hold_ns: Arc<Histogram>,
 }
@@ -162,17 +157,9 @@ struct Inner {
     metrics: EngineMetrics,
     read_hold_ns: Arc<Histogram>,
     write_hold_ns: Arc<Histogram>,
-    /// Force every publish down the full-rebuild path (bench baseline /
-    /// equivalence testing); incremental patching is the default.
+    /// Force every publish down the full-rebuild path (equivalence
+    /// testing); incremental patching is the default.
     full_publish: AtomicBool,
-    /// Coalescing window for first-match mode, nanoseconds: a
-    /// non-forced publish within this window of the shard's previous
-    /// publish is deferred (the dirt accumulates until the next forced
-    /// publish, window expiry, or [`ShardedXarEngine::publish_pending`]).
-    /// 0 (the default) publishes on every write — read-your-writes.
-    publish_coalesce_ns: AtomicU64,
-    /// Time origin for `Shard::last_publish_ns`.
-    anchor: Instant,
 }
 
 /// A clonable, thread-safe, cluster-sharded XAR engine (module docs
@@ -250,64 +237,6 @@ impl ShardedXarEngine {
                 Self::make_shard(engine, i, &registry)
             })
             .collect();
-        Self::assemble(region, shards, occupancy, metrics)
-    }
-
-    /// Wrap an existing engine. With `shards == 1` the engine is taken
-    /// as-is — rides, ids and metrics preserved (this is how
-    /// [`crate::concurrent::SharedXarEngine`] stays a drop-in facade).
-    /// With more shards the engine must still be empty (its id space is
-    /// re-striped across the shards).
-    ///
-    /// # Panics
-    /// If `shards > 1` and the engine already holds rides.
-    pub fn from_engine(engine: XarEngine, shards: usize) -> Self {
-        let n = shards.clamp(1, MAX_SHARDS);
-        let region = Arc::clone(engine.region());
-        let config = engine.config().clone();
-        let metrics = engine.metrics().clone();
-        let registry = metrics.registry();
-        let occupancy = Arc::new(ShardOccupancy::new(region.cluster_count()));
-        if n == 1 {
-            let mut engine = engine;
-            engine.attach_shard_occupancy(Arc::clone(&occupancy), 0);
-            let shards = vec![Self::make_shard(engine, 0, &registry)];
-            return Self::assemble(region, shards, occupancy, metrics);
-        }
-        assert!(
-            engine.ride_count() == 0,
-            "cannot re-stripe a populated engine across {n} shards"
-        );
-        Self::with_metrics(region, config, metrics, n)
-    }
-
-    fn make_shard(mut engine: XarEngine, i: usize, registry: &Arc<Registry>) -> Shard {
-        let label = format!("s{i}");
-        // Seed the snapshot from the engine as handed over — the
-        // single-shard facade wraps already-populated engines, whose
-        // rides must be searchable before the first write republishes.
-        // The seed is a full build, so any dirt the engine accumulated
-        // before hand-over is already reflected: drain it.
-        let snapshot = SnapshotCell::new(ShardSnapshot::build(&engine));
-        let _ = engine.drain_publish_dirt();
-        let published_version = AtomicU64::new(engine.state_version());
-        Shard {
-            lock: RwLock::new(engine),
-            snapshot,
-            published_version,
-            last_publish_ns: AtomicU64::new(0),
-            read_hold_ns: registry.histogram_with("lock.read_hold_ns", &[("shard", &label)]),
-            write_hold_ns: registry.histogram_with("lock.write_hold_ns", &[("shard", &label)]),
-        }
-    }
-
-    fn assemble(
-        region: Arc<RegionIndex>,
-        shards: Vec<Shard>,
-        occupancy: Arc<ShardOccupancy>,
-        metrics: EngineMetrics,
-    ) -> Self {
-        let registry = metrics.registry();
         let stats = EngineStats::from_registry(&registry);
         let read_hold_ns = registry.histogram("lock.read_hold_ns");
         let write_hold_ns = registry.histogram("lock.write_hold_ns");
@@ -321,47 +250,32 @@ impl ShardedXarEngine {
                 read_hold_ns,
                 write_hold_ns,
                 full_publish: AtomicBool::new(false),
-                publish_coalesce_ns: AtomicU64::new(0),
-                anchor: Instant::now(),
             }),
         }
     }
 
+    fn make_shard(mut engine: XarEngine, i: usize, registry: &Arc<Registry>) -> Shard {
+        let label = format!("s{i}");
+        // Seed the snapshot with a full build of the fresh engine; the
+        // build already reflects any dirt the set-up left, so drain it.
+        let snapshot = SnapshotCell::new(ShardSnapshot::build(&engine));
+        let _ = engine.drain_publish_dirt();
+        let published_version = AtomicU64::new(engine.state_version());
+        Shard {
+            lock: RwLock::new(engine),
+            snapshot,
+            published_version,
+            read_hold_ns: registry.histogram_with("lock.read_hold_ns", &[("shard", &label)]),
+            write_hold_ns: registry.histogram_with("lock.write_hold_ns", &[("shard", &label)]),
+        }
+    }
+
     /// Force every snapshot publish down the full-rebuild path instead
-    /// of patching dirty cluster segments. Bench baselines and the
-    /// incremental ≡ full equivalence tests flip this; production keeps
-    /// the default (`false`).
+    /// of patching dirty cluster segments. The incremental ≡ full
+    /// equivalence tests flip this; production keeps the default
+    /// (`false`).
     pub fn set_full_publish(&self, full: bool) {
         self.inner.full_publish.store(full, Ordering::Relaxed);
-    }
-
-    /// Set the publish-coalescing window for first-match mode,
-    /// microseconds. While a shard published less than this long ago,
-    /// non-forced write paths (create/book) defer their republish and
-    /// let the dirt accumulate; retirement sweeps, batch commits and
-    /// [`ShardedXarEngine::publish_pending`] always publish. 0 (the
-    /// default) restores publish-on-every-write (read-your-writes).
-    pub fn set_publish_coalesce_us(&self, us: u64) {
-        self.inner.publish_coalesce_ns.store(us.saturating_mul(1_000), Ordering::Relaxed);
-    }
-
-    /// Publish every shard whose engine state ran ahead of its
-    /// published snapshot (dirt deferred by the coalescing window).
-    /// Cheap when nothing is pending: a lock-free version probe per
-    /// shard, write locks only where a publish is actually due.
-    pub fn publish_pending(&self) {
-        for i in 0..self.inner.shards.len() {
-            let shard = &self.inner.shards[i];
-            let published = shard.published_version.load(Ordering::Acquire);
-            let stale = {
-                let (guard, _hold) = self.read_shard(i);
-                guard.state_version() != published
-            };
-            if stale {
-                let (mut guard, _hold) = self.write_shard(i);
-                self.publish_shard(i, &mut guard, true);
-            }
-        }
     }
 
     /// Number of shards.
@@ -567,10 +481,8 @@ impl ShardedXarEngine {
     ///
     /// Called by every write path while it still holds the shard write
     /// lock, so publishes serialize per shard and each snapshot is a
-    /// consistent point-in-time view. `force` bypasses the coalescing
-    /// window — retirement sweeps and batch commits must land even
-    /// mid-window.
-    fn publish_shard(&self, i: usize, engine: &mut XarEngine, force: bool) {
+    /// consistent point-in-time view.
+    fn publish_shard(&self, i: usize, engine: &mut XarEngine) {
         let shard = &self.inner.shards[i];
         let version = engine.state_version();
         // Ordering: all publishes of this shard happen under its write
@@ -589,18 +501,6 @@ impl ShardedXarEngine {
         // `noop_skip_never_hides_a_pending_rebuild`.)
         if shard.published_version.load(Ordering::Acquire) == version {
             return;
-        }
-        if !force {
-            let window = self.inner.publish_coalesce_ns.load(Ordering::Relaxed);
-            if window > 0 {
-                let now = self.inner.anchor.elapsed().as_nanos() as u64;
-                let last = shard.last_publish_ns.load(Ordering::Relaxed);
-                if now.saturating_sub(last) < window {
-                    // Defer: the dirt stays in the engine and the next
-                    // forced or post-window publish drains it all.
-                    return;
-                }
-            }
         }
         let t0 = Instant::now();
         let mut tspan = xar_obs::trace::span("snapshot.publish");
@@ -626,9 +526,6 @@ impl ShardedXarEngine {
         };
         let outcome = shard.snapshot.publish(next);
         shard.published_version.store(version, Ordering::Release);
-        shard
-            .last_publish_ns
-            .store(self.inner.anchor.elapsed().as_nanos() as u64, Ordering::Relaxed);
         m.snapshot_publish_ns.record(t0.elapsed().as_nanos() as u64);
         m.snapshot_publishes.inc();
         m.snapshot_dirty_clusters.record(dirty.len() as u64);
@@ -650,7 +547,7 @@ impl ShardedXarEngine {
             .map_or(0, |c| self.shard_of_cluster(c));
         let (mut guard, _hold) = self.write_shard(shard);
         let res = guard.create_ride(offer);
-        self.publish_shard(shard, &mut guard, false);
+        self.publish_shard(shard, &mut guard);
         res
     }
 
@@ -661,7 +558,7 @@ impl ShardedXarEngine {
         let shard = self.shard_of_ride(m.ride);
         let (mut guard, _hold) = self.write_shard(shard);
         let res = guard.book(m);
-        self.publish_shard(shard, &mut guard, false);
+        self.publish_shard(shard, &mut guard);
         res
     }
 
@@ -677,7 +574,7 @@ impl ShardedXarEngine {
         let shard = self.shard_of_ride(m.ride);
         let (mut guard, _hold) = self.write_shard(shard);
         let res = guard.book_checked(m);
-        self.publish_shard(shard, &mut guard, false);
+        self.publish_shard(shard, &mut guard);
         res
     }
 
@@ -705,7 +602,7 @@ impl ShardedXarEngine {
             for pos in positions {
                 out[pos] = Some(guard.book_checked(ms[pos]));
             }
-            self.publish_shard(shard, &mut guard, true);
+            self.publish_shard(shard, &mut guard);
         }
         out.into_iter().map(|r| r.expect("every match was routed to a shard")).collect()
     }
@@ -717,7 +614,7 @@ impl ShardedXarEngine {
         let shard = self.shard_of_ride(id);
         let (mut guard, _hold) = self.write_shard(shard);
         let res = guard.track_ride(id, now_s);
-        self.publish_shard(shard, &mut guard, true);
+        self.publish_shard(shard, &mut guard);
         res
     }
 
@@ -737,11 +634,7 @@ impl ShardedXarEngine {
             }
             let (mut guard, _hold) = self.write_shard(i);
             retired += guard.track_all(now_s);
-            // Forced: retirements must leave the searchable snapshot
-            // even mid-coalescing-window (an expired ride served from a
-            // stale snapshot would fail its commit-time re-validation,
-            // but the paper's freshness story is that tracking evicts).
-            self.publish_shard(i, &mut guard, true);
+            self.publish_shard(i, &mut guard);
         }
         retired
     }
@@ -974,30 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn from_engine_single_shard_preserves_rides() {
-        let region = region(31);
-        let graph = Arc::clone(region.graph());
-        let mut engine = XarEngine::new(Arc::clone(&region), EngineConfig::default());
-        let id = engine.create_ride(&offer(&graph, 2)).unwrap();
-        let sharded = ShardedXarEngine::from_engine(engine, 1);
-        assert_eq!(sharded.shard_count(), 1);
-        assert_eq!(sharded.ride_count(), 1);
-        // The pre-existing ride is findable: occupancy was back-filled.
-        assert!(sharded.occupancy().mask_for(0..region.cluster_count()) != 0);
-        assert!(sharded.with_shard_read(0, |e| e.ride(id).is_some()));
-    }
-
-    #[test]
-    #[should_panic(expected = "re-stripe")]
-    fn from_engine_multi_shard_rejects_populated_engine() {
-        let region = region(31);
-        let graph = Arc::clone(region.graph());
-        let mut engine = XarEngine::new(region, EngineConfig::default());
-        let _ = engine.create_ride(&offer(&graph, 2)).unwrap();
-        let _ = ShardedXarEngine::from_engine(engine, 4);
-    }
-
-    #[test]
     fn search_takes_no_locks() {
         let region = region(31);
         let graph = Arc::clone(region.graph());
@@ -1169,45 +1038,6 @@ mod tests {
         let partial_before = m.snapshot_partial_publishes.get();
         let _ = eng.create_ride(&tight(31));
         assert_eq!(m.snapshot_partial_publishes.get(), partial_before);
-        assert!(eng.snapshots_consistent());
-    }
-
-    #[test]
-    fn publish_coalescing_defers_then_catches_up() {
-        let region = region(31);
-        let graph = Arc::clone(region.graph());
-        let n = graph.node_count() as u32;
-        let eng = ShardedXarEngine::new(region, EngineConfig::default(), 2);
-        eng.set_publish_coalesce_us(3_600_000_000); // one hour: everything defers
-        let m = eng.metrics();
-        let publishes_before = m.snapshot_publishes.get();
-        let mut created = 0;
-        for i in 0..20 {
-            created += eng.create_ride(&offer(&graph, i)).is_ok() as usize;
-        }
-        assert!(created > 5);
-        assert_eq!(
-            m.snapshot_publishes.get(),
-            publishes_before,
-            "inside the window every create must defer its publish"
-        );
-        let req = RideRequest {
-            source: graph.point(NodeId(n / 2)),
-            destination: graph.point(NodeId(n - 1)),
-            window_start_s: 7.5 * 3600.0,
-            window_end_s: 9.5 * 3600.0,
-            walk_limit_m: 800.0,
-        };
-        let stale = eng.search(&req, usize::MAX).unwrap_or_default();
-        assert!(stale.is_empty(), "deferred publishes must leave the old (empty) view");
-        // The catch-up drains all accumulated dirt in one publish per shard.
-        eng.publish_pending();
-        assert!(m.snapshot_publishes.get() > publishes_before);
-        assert!(eng.snapshots_consistent());
-        assert!(!eng.search(&req, usize::MAX).unwrap().is_empty());
-        // Back to 0: read-your-writes returns.
-        eng.set_publish_coalesce_us(0);
-        let _ = eng.create_ride(&offer(&graph, 50));
         assert!(eng.snapshots_consistent());
     }
 

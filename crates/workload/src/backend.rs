@@ -1,11 +1,11 @@
 //! [`RideBackend`] adapters for the two systems under test.
 
-use xar_core::{Reason, RideMatch, RideOffer, RideRequest, SearchExplain, XarEngine};
+use xar_core::{Reason, RideMatch, SearchExplain, XarEngine};
 use xar_tshare::engine::{TShareMatch, TShareRequest};
 use xar_tshare::TShareEngine;
 
 use crate::dispatch::Candidate;
-use crate::sim::{BookResult, RideBackend, SimConfig};
+use crate::sim::{offer_of, request_of, BookResult, RideBackend, SimConfig};
 use crate::trips::Trip;
 
 /// [`BookResult`] from a core-engine booking outcome; failures carry
@@ -36,23 +36,13 @@ impl XarBackend {
     pub fn new(engine: XarEngine) -> Self {
         Self { engine }
     }
-
-    fn request(trip: &Trip, cfg: &SimConfig) -> RideRequest {
-        RideRequest {
-            source: trip.pickup,
-            destination: trip.dropoff,
-            window_start_s: trip.pickup_s,
-            window_end_s: trip.pickup_s + cfg.window_s,
-            walk_limit_m: cfg.walk_limit_m,
-        }
-    }
 }
 
 impl RideBackend for XarBackend {
     type Match = RideMatch;
 
     fn search(&mut self, trip: &Trip, cfg: &SimConfig) -> Vec<RideMatch> {
-        self.engine.search(&Self::request(trip, cfg), cfg.k).unwrap_or_default()
+        self.engine.search(&request_of(trip, cfg), cfg.k).unwrap_or_default()
     }
 
     fn search_explained(
@@ -63,7 +53,7 @@ impl RideBackend for XarBackend {
         let mut explain = SearchExplain::default();
         let matches = self
             .engine
-            .search_explained(&Self::request(trip, cfg), cfg.k, &mut explain)
+            .search_explained(&request_of(trip, cfg), cfg.k, &mut explain)
             .unwrap_or_default();
         (matches, explain)
     }
@@ -85,13 +75,7 @@ impl RideBackend for XarBackend {
 
     fn create(&mut self, trip: &Trip, cfg: &SimConfig) -> Result<(), Reason> {
         self.engine
-            .create_ride(&RideOffer {
-                source: trip.pickup,
-                destination: trip.dropoff,
-                departure_s: trip.pickup_s,
-                seats: cfg.seats,
-                detour_limit_m: cfg.detour_limit_m, driver: None, via: Vec::new(),
-            })
+            .create_ride(&offer_of(trip, cfg))
             .map(|_| ())
             .map_err(|e| e.reason())
     }

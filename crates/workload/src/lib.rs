@@ -37,9 +37,7 @@ pub mod backend;
 pub mod dispatch;
 pub mod parallel;
 pub mod report;
-pub mod searchbench;
 pub mod sim;
-pub mod writebench;
 pub mod trips;
 
 pub use backend::{TShareBackend, XarBackend};
@@ -48,15 +46,10 @@ pub use dispatch::{
     DispatchPolicy, DispatchSpec, FirstMatch,
 };
 pub use parallel::{
-    run_parallel_dispatch, run_parallel_simulation, run_scaling_point, scaling_curve_json,
-    ConcurrentBackend, ScalingPoint, ShardedXarBackend,
+    run_parallel_dispatch, run_parallel_simulation, ConcurrentBackend, ShardedXarBackend,
 };
 pub use report::{
     percentile, percentile_ns, Decision, DecisionOutcome, DispatchDeltas, SimReport,
 };
-pub use searchbench::{
-    populated_engine, run_search_point, search_curve_json, SearchPoint,
-};
 pub use sim::{run_simulation, run_simulation_with, BookResult, RideBackend, SimConfig};
-pub use writebench::{run_write_point, write_curve_json, WritePoint};
 pub use trips::{generate_trips, Trip, TripGenConfig};

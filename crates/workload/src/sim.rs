@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use xar_core::{Reason, SearchExplain};
+use xar_core::{Reason, RideOffer, RideRequest, SearchExplain};
 use xar_obs::Registry;
 
 use crate::dispatch::{Candidate, DispatchPolicy, FirstMatch};
@@ -51,6 +51,34 @@ impl Default for SimConfig {
             track_every_s: Some(600.0),
             lookups_per_request: 0,
         }
+    }
+}
+
+/// The [`RideRequest`] a trip poses under the simulation parameters:
+/// pick-ups accepted from its request time for `cfg.window_s`, within
+/// `cfg.walk_limit_m` of each end-point.
+pub(crate) fn request_of(trip: &Trip, cfg: &SimConfig) -> RideRequest {
+    RideRequest {
+        source: trip.pickup,
+        destination: trip.dropoff,
+        window_start_s: trip.pickup_s,
+        window_end_s: trip.pickup_s + cfg.window_s,
+        walk_limit_m: cfg.walk_limit_m,
+    }
+}
+
+/// The [`RideOffer`] a trip becomes when no existing ride can take it:
+/// the rider turns driver, departing at the request time with
+/// `cfg.seats` seats and a `cfg.detour_limit_m` detour budget.
+pub(crate) fn offer_of(trip: &Trip, cfg: &SimConfig) -> RideOffer {
+    RideOffer {
+        source: trip.pickup,
+        destination: trip.dropoff,
+        departure_s: trip.pickup_s,
+        seats: cfg.seats,
+        detour_limit_m: cfg.detour_limit_m,
+        driver: None,
+        via: Vec::new(),
     }
 }
 

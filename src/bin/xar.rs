@@ -38,35 +38,6 @@
 //!     reason, search tier, candidate count, batch-window id,
 //!     latencies) as segmented JSONL — the input of `xar logs`.
 //!
-//! xar bench [--rows N] [--cols N] [--seed S] [--trips N] [--shards N]
-//!           [--threads LIST] [--min-scaling F] [--json FILE]
-//!           [--against FILE] [--tolerance F]
-//!     Engine scaling bench: build a small city in-process and replay
-//!     the same trip day through a fresh sharded engine at each worker
-//!     count in `--threads` (comma-separated, default `1,2,4,8`),
-//!     printing throughput and search p50/p99 per point. Any overbooked
-//!     ride, or — with `--min-scaling F` — a final-point search
-//!     throughput below `F ×` the first point's, exits with code 7.
-//!     `--json` writes the curve machine-readably (the
-//!     `results/BENCH_engine.json` schema, see EXPERIMENTS.md).
-//!     `--against FILE` compares the fresh curve point-by-point against
-//!     a committed baseline curve of the same kind: any throughput drop
-//!     or latency growth beyond `--tolerance F` (fractional, default
-//!     0.5) exits with code 7; a missing/invalid baseline exits 2.
-//!
-//! xar bench --search [--rows N] [--cols N] [--seed S] [--trips N]
-//!           [--shards N] [--threads LIST] [--searches N]
-//!           [--max-p50-us F] [--max-p99-ratio F] [--json FILE]
-//!           [--against FILE] [--tolerance F]
-//!     Search-path micro-bench: populate one engine from three quarters
-//!     of the trip day, then measure the lock-free `search_into`
-//!     latency at each searcher count (constant `--searches` total per
-//!     point) while a paced background writer keeps snapshot
-//!     publication live. `--max-p50-us F` gates the first point's
-//!     median and `--max-p99-ratio F` the last point's p99 relative to
-//!     the first's (tail flatness); either breach exits with code 7.
-//!     `--json` writes the `results/BENCH_search.json` schema.
-//!
 //! xar logs --in events.jsonl [--outcome X] [--reason Y]
 //!          [--slower-than MS] [--request ID] [--top N]
 //!     Forensics over a `--events-out` file: per-request decision
@@ -119,6 +90,10 @@
 //! simulation so scrapers can observe the final state; `--max-backlog N`
 //! turns `/health` 503 while the snapshot retire backlog exceeds `N`
 //! and exits with code 10 when it still does at the end of the run.
+//!
+//! Each subcommand accepts exactly the flags listed above; any other
+//! flag — a typo, or one a subcommand does not read — exits with code 1
+//! and names the flag.
 
 use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
@@ -138,16 +113,41 @@ use xhare_a_ride::core::{
 use xhare_a_ride::discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xhare_a_ride::roadnet::{sample_pois, CityConfig, PoiConfig};
 use xhare_a_ride::tshare::{TShareConfig, TShareEngine};
-use xhare_a_ride::workload::searchbench::request_of;
 use xhare_a_ride::workload::{
-    generate_trips, percentile_ns, populated_engine, run_parallel_dispatch, run_scaling_point,
-    run_search_point, run_simulation, run_simulation_with, run_write_point, scaling_curve_json,
-    search_curve_json, write_curve_json, DispatchSpec, ScalingPoint, SearchPoint,
-    ShardedXarBackend, SimConfig, TShareBackend, TripGenConfig, WritePoint, XarBackend,
+    generate_trips, percentile_ns, run_parallel_dispatch, run_simulation, run_simulation_with,
+    DispatchSpec, ShardedXarBackend, SimConfig, TShareBackend, TripGenConfig, XarBackend,
 };
 
 /// Flags that take no value (presence alone means `true`).
-const SWITCHES: &[&str] = &["check", "slo-fail", "plain", "search", "write", "alloc"];
+const SWITCHES: &[&str] = &["check", "slo-fail", "plain", "alloc"];
+
+/// A subcommand's entry point.
+type Command = fn(&Flags) -> Result<(), CmdError>;
+
+/// Every subcommand, the flags it reads, and its entry point. A flag
+/// outside a subcommand's list is rejected before the command runs.
+const COMMANDS: &[(&str, &[&str], Command)] = &[
+    ("build-region", &["rows", "cols", "seed", "delta", "clusters", "out"], build_region),
+    ("inspect", &["region"], inspect),
+    (
+        "simulate",
+        &[
+            "region", "trips", "seed", "k", "walk", "window", "detour", "threads", "shards",
+            "dispatch", "compress-day-s", "json", "metrics-out", "trace-out", "trace-slow-ms",
+            "trace-sample", "trace-buffer", "events-out", "baseline", "serve", "slo", "slo-fail",
+            "tick-ms", "linger-s", "max-backlog",
+        ],
+        simulate,
+    ),
+    ("logs", &["in", "outcome", "reason", "slower-than", "request", "top"], logs_cmd),
+    ("trace", &["in", "top", "check"], trace_cmd),
+    ("top", &["connect", "interval-ms", "frames", "plain"], top_cmd),
+    (
+        "profile",
+        &["out", "format", "alloc", "rows", "cols", "seed", "trips", "top"],
+        profile_cmd,
+    ),
+];
 
 /// Global allocator: the profiling pass-through. When `xar profile
 /// --alloc` is off (the default, and every other subcommand) the hook
@@ -190,13 +190,17 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parse `args`, rejecting any flag not in `accepted`.
+    fn parse(args: &[String], accepted: &[&str]) -> Result<Self, String> {
         let mut values: HashMap<String, Vec<String>> = HashMap::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument '{a}'"));
             };
+            if !accepted.contains(&key) {
+                return Err(format!("unknown flag --{key}"));
+            }
             if SWITCHES.contains(&key) {
                 values.entry(key.to_string()).or_default().push("true".to_string());
                 continue;
@@ -234,10 +238,10 @@ impl Flags {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  xar build-region [--rows N] [--cols N] [--seed S] [--delta M | --clusters C] --out FILE\n  xar inspect --region FILE\n  xar simulate --region FILE [--trips N] [--seed S] [--k N] [--walk M] [--window S] [--detour M] [--threads N] [--shards N] [--dispatch first|batch:MS] [--compress-day-s F] [--json FILE] [--metrics-out FILE] [--trace-out FILE] [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N] [--events-out FILE] [--baseline tshare] [--serve ADDR] [--slo RULE]... [--slo-fail] [--tick-ms N] [--linger-s F] [--max-backlog N] [--publish-coalesce-us US]\n  xar bench [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--min-scaling F] [--json FILE] [--against FILE] [--tolerance F]\n  xar bench --search [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--searches N] [--max-p50-us F] [--max-p99-ratio F] [--json FILE] [--against FILE] [--tolerance F]\n  xar bench --write [--rows N] [--cols N] [--seed S] [--trips N] [--storm N] [--shards N] [--json FILE] [--against FILE] [--tolerance F]\n  xar logs --in FILE [--outcome X] [--reason Y] [--slower-than MS] [--request ID] [--top N]\n  xar trace --in FILE [--top N] [--check]\n  xar top --connect ADDR [--interval-ms N] [--frames N] [--plain]\n  xar profile --out FILE [--format collapsed|speedscope] [--alloc] [--rows N] [--cols N] [--seed S] [--trips N] [--top N]"
+    "usage:\n  xar build-region [--rows N] [--cols N] [--seed S] [--delta M | --clusters C] --out FILE\n  xar inspect --region FILE\n  xar simulate --region FILE [--trips N] [--seed S] [--k N] [--walk M] [--window S] [--detour M] [--threads N] [--shards N] [--dispatch first|batch:MS] [--compress-day-s F] [--json FILE] [--metrics-out FILE] [--trace-out FILE] [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N] [--events-out FILE] [--baseline tshare] [--serve ADDR] [--slo RULE]... [--slo-fail] [--tick-ms N] [--linger-s F] [--max-backlog N]\n  xar logs --in FILE [--outcome X] [--reason Y] [--slower-than MS] [--request ID] [--top N]\n  xar trace --in FILE [--top N] [--check]\n  xar top --connect ADDR [--interval-ms N] [--frames N] [--plain]\n  xar profile --out FILE [--format collapsed|speedscope] [--alloc] [--rows N] [--cols N] [--seed S] [--trips N] [--top N]"
 }
 
-fn build_region(flags: &Flags) -> Result<(), String> {
+fn build_region(flags: &Flags) -> Result<(), CmdError> {
     let rows: usize = flags.get("rows", 60)?;
     let cols: usize = flags.get("cols", 60)?;
     let seed: u64 = flags.get("seed", 1)?;
@@ -269,7 +273,7 @@ fn build_region(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn inspect(flags: &Flags) -> Result<(), String> {
+fn inspect(flags: &Flags) -> Result<(), CmdError> {
     let path = flags.require("region")?;
     let region = RegionIndex::load(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let g = region.graph();
@@ -306,29 +310,6 @@ fn parse_threads_flag(flags: &Flags) -> Result<usize, CmdError> {
             )),
         },
     }
-}
-
-/// Parse `--threads` as a comma-separated sweep list (`xar bench`;
-/// default `1,2,4,8`). Shares the exit-code-9 contract of
-/// [`parse_threads_flag`].
-fn parse_threads_list(flags: &Flags) -> Result<Vec<usize>, CmdError> {
-    let Some(v) = flags.get_opt("threads") else { return Ok(vec![1, 2, 4, 8]) };
-    let mut out = Vec::new();
-    for part in v.split(',') {
-        match part.trim().parse::<usize>() {
-            Ok(n) if (1..=256).contains(&n) => out.push(n),
-            _ => {
-                return Err(CmdError::coded(
-                    9,
-                    format!(
-                        "--threads expects a comma-separated list of integers in 1..=256, \
-                         got '{v}'"
-                    ),
-                ))
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// Parse `--dispatch` (default `first`); invalid values share the
@@ -384,132 +365,6 @@ fn parse_shards_flag(flags: &Flags) -> Result<usize, CmdError> {
     }
 }
 
-/// Parse `--publish-coalesce-us` (default 0 = a publish on every
-/// write, i.e. read-your-writes). Positive values let first-match
-/// bookings batch their snapshot publications into one per window.
-/// Invalid values share the exit-code-9 contract.
-fn parse_publish_coalesce_flag(flags: &Flags) -> Result<u64, CmdError> {
-    match flags.get_opt("publish-coalesce-us") {
-        None => Ok(0),
-        Some(v) => v.parse::<u64>().map_err(|_| {
-            CmdError::coded(
-                9,
-                format!(
-                    "--publish-coalesce-us must be a non-negative integer of \
-                     microseconds, got '{v}'"
-                ),
-            )
-        }),
-    }
-}
-
-/// Parse `--tolerance` (fractional headroom for `--against`, default
-/// 0.5 = 50%); invalid values share the exit-code-9 contract.
-fn parse_tolerance_flag(flags: &Flags) -> Result<f64, CmdError> {
-    match flags.get_opt("tolerance") {
-        None => Ok(0.5),
-        Some(v) => match v.parse::<f64>() {
-            Ok(f) if f.is_finite() && f > 0.0 => Ok(f),
-            _ => Err(CmdError::coded(
-                9,
-                format!("--tolerance must be a positive fraction (e.g. 0.5), got '{v}'"),
-            )),
-        },
-    }
-}
-
-/// `--against` regression gate: compare a freshly measured bench curve
-/// point-by-point against a committed baseline of the same kind.
-///
-/// Points are joined on `point_key` — a workload-independent integer
-/// field (`"threads"` for the scaling/search curves, `"mult"` for the
-/// write curve), so a small CI smoke city still shares points with a
-/// baseline measured on the full bench city. `fresh` holds
-/// `(point key value, [(metric key, value)])` per fresh point;
-/// `metrics` lists `(key, higher_is_worse)`. The tolerance is a ratio
-/// headroom symmetric in direction: latency (higher-is-worse) may grow
-/// to `base × (1 + tol)`, throughput may shrink to `base ÷ (1 + tol)` —
-/// well-defined for any positive tolerance, including the generous
-/// multiples CI uses to absorb cross-machine variance. Baseline points
-/// without a matching fresh `threads` value are skipped. Exit 2 = the
-/// baseline is unreadable, invalid, the wrong bench kind, or shares no
-/// point with the fresh curve; exit 7 = any metric regressed beyond
-/// the tolerance.
-fn gate_against_baseline(
-    path: &str,
-    kind: &str,
-    point_key: &str,
-    tolerance: f64,
-    fresh: &[(u64, Vec<(&'static str, f64)>)],
-    metrics: &[(&'static str, bool)],
-) -> Result<(), CmdError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CmdError::coded(2, format!("cannot read baseline {path}: {e}")))?;
-    let doc = xar_obs::json::parse(&text)
-        .map_err(|e| CmdError::coded(2, format!("{path}: invalid baseline JSON: {e}")))?;
-    let bench = doc.get("bench").and_then(|b| b.as_str()).unwrap_or_default();
-    if bench != kind {
-        return Err(CmdError::coded(
-            2,
-            format!("{path}: baseline bench kind is '{bench}', this run produces '{kind}'"),
-        ));
-    }
-    let base_points = doc
-        .get("points")
-        .and_then(|p| p.as_array())
-        .ok_or_else(|| CmdError::coded(2, format!("{path}: baseline has no points array")))?;
-
-    let mut compared = 0usize;
-    let mut breaches: Vec<String> = Vec::new();
-    for bp in base_points {
-        let Some(at) = bp.get(point_key).and_then(|t| t.as_u64()) else { continue };
-        let Some((_, values)) = fresh.iter().find(|(t, _)| *t == at) else {
-            println!(
-                "against        : baseline point {point_key}={at} has no fresh match, skipped"
-            );
-            continue;
-        };
-        for &(key, higher_is_worse) in metrics {
-            let Some(base) = bp.get(key).and_then(|v| v.as_f64()) else { continue };
-            let Some(&(_, new)) = values.iter().find(|(k, _)| *k == key) else { continue };
-            if base <= 0.0 {
-                continue;
-            }
-            compared += 1;
-            let (bound, breached, dir) = if higher_is_worse {
-                (base * (1.0 + tolerance), new > base * (1.0 + tolerance), "max")
-            } else {
-                (base / (1.0 + tolerance), new < base / (1.0 + tolerance), "min")
-            };
-            println!(
-                "against        : {point_key}={at} {key} {new:.0} vs baseline {base:.0} \
-                 ({dir} {bound:.0}){}",
-                if breached { "  REGRESSION" } else { "" },
-            );
-            if breached {
-                breaches.push(format!(
-                    "{point_key}={at} {key} {new:.0} breaches {dir} {bound:.0} \
-                     (baseline {base:.0}, tolerance {tolerance})"
-                ));
-            }
-        }
-    }
-    if compared == 0 {
-        return Err(CmdError::coded(
-            2,
-            format!("{path}: baseline shares no comparable point with this run"),
-        ));
-    }
-    if !breaches.is_empty() {
-        return Err(CmdError::coded(
-            7,
-            format!("bench regression vs {path}: {}", breaches.join("; ")),
-        ));
-    }
-    println!("against        : {path} ok ({compared} comparisons within {tolerance}x headroom)");
-    Ok(())
-}
-
 /// The simulation's system under test: the serial single-engine
 /// backend (default; carries the full request-tracing path) or the
 /// sharded engine driven by N closed-loop workers.
@@ -525,7 +380,6 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
     let shards = parse_shards_flag(flags)?;
     let dispatch = parse_dispatch_flag(flags)?;
     let compress = parse_compress_flag(flags)?;
-    let publish_coalesce_us = parse_publish_coalesce_flag(flags)?;
     let path = flags.require("region")?;
     let trips_n: usize = flags.get("trips", 10_000)?;
     let seed: u64 = flags.get("seed", 0x7A11)?;
@@ -586,22 +440,6 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
             shards,
         )))
     };
-    if publish_coalesce_us > 0 {
-        match &sim {
-            SimUnderTest::Parallel(b) => {
-                b.engine.set_publish_coalesce_us(publish_coalesce_us);
-                eprintln!("publish window : coalescing first-match publishes over {publish_coalesce_us} µs");
-            }
-            // The serial engine has no snapshot plane — nothing to
-            // coalesce, but say so instead of silently ignoring it.
-            SimUnderTest::Serial(_) => {
-                eprintln!(
-                    "publish window : --publish-coalesce-us ignored on the serial driver \
-                     (use --threads > 1)"
-                );
-            }
-        }
-    }
     let cfg = SimConfig { walk_limit_m: walk, window_s: window, detour_limit_m: detour, k, ..Default::default() };
 
     // Live operational plane: windowed series + SLO rules + optionally
@@ -834,410 +672,6 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
                 ),
             ));
         }
-    }
-    Ok(())
-}
-
-/// `xar bench`: the engine scaling bench. Builds a small city
-/// in-process, replays the same trip day through a fresh sharded
-/// engine at each worker count, and gates on capacity safety (any
-/// overbooked ride ⇒ exit 7) and — with `--min-scaling F` — on the
-/// final point's search throughput being at least `F ×` the first
-/// point's (anti-regression, exit 7).
-fn bench(flags: &Flags) -> Result<(), CmdError> {
-    if flags.switch("search") {
-        return bench_search(flags);
-    }
-    if flags.switch("write") {
-        return bench_write(flags);
-    }
-    let thread_counts = parse_threads_list(flags)?;
-    let shards = parse_shards_flag(flags)?;
-    let rows: usize = flags.get("rows", 30)?;
-    let cols: usize = flags.get("cols", 30)?;
-    let seed: u64 = flags.get("seed", 0xBE7C)?;
-    let trips_n: usize = flags.get("trips", 2_000)?;
-    let min_scaling: f64 = flags.get("min-scaling", 0.0)?;
-
-    eprintln!("bench city: {rows}x{cols} (seed {seed}), {trips_n} trips, {shards} shards");
-    let graph = Arc::new(CityConfig::manhattan(rows, cols, seed).generate());
-    let pois = sample_pois(&graph, &PoiConfig { count: rows * cols / 2, ..Default::default() });
-    let region = Arc::new(RegionIndex::build(
-        Arc::clone(&graph),
-        &pois,
-        RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
-    ));
-    let trips =
-        generate_trips(&graph, &TripGenConfig { count: trips_n, seed, ..Default::default() });
-    let cfg = SimConfig::default();
-    let engine_cfg = EngineConfig::default();
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut points: Vec<ScalingPoint> = Vec::new();
-    println!(
-        "{:>7} {:>9} {:>12} {:>12} {:>12} {:>12} {:>10}",
-        "threads", "wall s", "req/s", "searches/s", "p50 µs", "p99 µs", "overbooked"
-    );
-    for &t in &thread_counts {
-        let p = run_scaling_point(&region, &engine_cfg, &trips, &cfg, t, shards);
-        println!(
-            "{:>7} {:>9.3} {:>12.0} {:>12.0} {:>12.1} {:>12.1} {:>10}",
-            p.threads,
-            p.wall_s,
-            p.requests_per_s,
-            p.searches_per_s,
-            p.search_p50_ns / 1e3,
-            p.search_p99_ns / 1e3,
-            p.overbooked_rides,
-        );
-        points.push(p);
-    }
-
-    if let Some(json) = flags.get_opt("json") {
-        let meta = [
-            ("rows", rows as f64),
-            ("cols", cols as f64),
-            ("seed", seed as f64),
-            ("trips", trips_n as f64),
-        ];
-        std::fs::write(json, scaling_curve_json(&meta, cores, &points))
-            .map_err(|e| format!("cannot write {json}: {e}"))?;
-        println!("curve          : {json} (cores {cores})");
-    }
-
-    // Gates — capacity safety first (always on), then the scaling
-    // anti-regression when requested.
-    if let Some(p) = points.iter().find(|p| p.overbooked_rides > 0) {
-        return Err(CmdError::coded(
-            7,
-            format!(
-                "{} ride(s) overbooked at {} threads — the engine lost seat updates",
-                p.overbooked_rides, p.threads
-            ),
-        ));
-    }
-    if min_scaling > 0.0 && points.len() >= 2 {
-        let first = &points[0];
-        let last = &points[points.len() - 1];
-        let ratio = last.searches_per_s / first.searches_per_s.max(1e-9);
-        println!(
-            "scaling        : {} threads at {:.2}x the {}-thread search throughput (gate {min_scaling}x)",
-            last.threads, ratio, first.threads
-        );
-        if ratio < min_scaling {
-            return Err(CmdError::coded(
-                7,
-                format!(
-                    "search throughput at {} threads is {ratio:.2}x the {}-thread run, \
-                     below the {min_scaling}x gate",
-                    last.threads, first.threads
-                ),
-            ));
-        }
-    }
-    if let Some(base) = flags.get_opt("against") {
-        let tol = parse_tolerance_flag(flags)?;
-        let fresh: Vec<(u64, Vec<(&'static str, f64)>)> = points
-            .iter()
-            .map(|p| {
-                (
-                    p.threads as u64,
-                    vec![
-                        ("requests_per_s", p.requests_per_s),
-                        ("search_p50_ns", p.search_p50_ns),
-                        ("search_p99_ns", p.search_p99_ns),
-                    ],
-                )
-            })
-            .collect();
-        gate_against_baseline(
-            base,
-            "engine_scaling",
-            "threads",
-            tol,
-            &fresh,
-            &[("requests_per_s", false), ("search_p50_ns", true), ("search_p99_ns", true)],
-        )?;
-    }
-    Ok(())
-}
-
-/// `xar bench --search`: the search-path micro-bench. Populates one
-/// engine by replaying three quarters of the trip day, then measures
-/// lock-free `search_into` latency percentiles at each searcher count
-/// (constant total searches per point) while a paced background writer
-/// keeps snapshot publication live. Gates (exit 7): `--max-p50-us F`
-/// bounds the first point's median; `--max-p99-ratio F` bounds the last
-/// point's p99 relative to the first's (tail flatness — the lock-free
-/// read path's defining property).
-fn bench_search(flags: &Flags) -> Result<(), CmdError> {
-    let thread_counts = parse_threads_list(flags)?;
-    let shards = parse_shards_flag(flags)?;
-    let rows: usize = flags.get("rows", 30)?;
-    let cols: usize = flags.get("cols", 30)?;
-    let seed: u64 = flags.get("seed", 0xBE7C)?;
-    let trips_n: usize = flags.get("trips", 2_000)?;
-    let searches: usize = flags.get("searches", 10_000)?;
-    let max_p50_us: f64 = flags.get("max-p50-us", 0.0)?;
-    let max_p99_ratio: f64 = flags.get("max-p99-ratio", 0.0)?;
-
-    eprintln!(
-        "search bench city: {rows}x{cols} (seed {seed}), {trips_n} trips, {shards} shards, \
-         {searches} searches/point"
-    );
-    let graph = Arc::new(CityConfig::manhattan(rows, cols, seed).generate());
-    let pois = sample_pois(&graph, &PoiConfig { count: rows * cols / 2, ..Default::default() });
-    let region = Arc::new(RegionIndex::build(
-        Arc::clone(&graph),
-        &pois,
-        RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
-    ));
-    let trips =
-        generate_trips(&graph, &TripGenConfig { count: trips_n, seed, ..Default::default() });
-    let cfg = SimConfig::default();
-    let engine_cfg = EngineConfig::default();
-    let split = trips.len() * 3 / 4;
-    let reqs: Vec<_> = trips.iter().map(|t| request_of(t, &cfg)).collect();
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut points: Vec<SearchPoint> = Vec::new();
-    println!(
-        "{:>8} {:>10} {:>12} {:>12} {:>10}",
-        "threads", "searches", "p50 µs", "p99 µs", "matches"
-    );
-    for &t in &thread_counts {
-        // Fresh engine per point: the writer mutates state, so points
-        // must not inherit each other's churn.
-        let engine = populated_engine(&region, &engine_cfg, &trips[..split], &cfg, shards);
-        let p = run_search_point(&engine, &reqs, &trips[split..], &cfg, t, searches);
-        println!(
-            "{:>8} {:>10} {:>12.1} {:>12.1} {:>10}",
-            p.threads,
-            p.searches,
-            p.p50_ns / 1e3,
-            p.p99_ns / 1e3,
-            p.matches,
-        );
-        points.push(p);
-    }
-
-    if let Some(json) = flags.get_opt("json") {
-        let meta = [
-            ("rows", rows as f64),
-            ("cols", cols as f64),
-            ("seed", seed as f64),
-            ("trips", trips_n as f64),
-            ("shards", shards as f64),
-        ];
-        std::fs::write(json, search_curve_json(&meta, cores, &points))
-            .map_err(|e| format!("cannot write {json}: {e}"))?;
-        println!("curve          : {json} (cores {cores})");
-    }
-
-    if max_p50_us > 0.0 {
-        let p50_us = points[0].p50_ns / 1e3;
-        println!(
-            "p50 gate       : {} thread(s) at {p50_us:.1} µs (gate {max_p50_us} µs)",
-            points[0].threads
-        );
-        if p50_us > max_p50_us {
-            return Err(CmdError::coded(
-                7,
-                format!(
-                    "search p50 at {} thread(s) is {p50_us:.1} µs, above the \
-                     {max_p50_us} µs gate",
-                    points[0].threads
-                ),
-            ));
-        }
-    }
-    if max_p99_ratio > 0.0 && points.len() >= 2 {
-        let first = &points[0];
-        let last = &points[points.len() - 1];
-        let ratio = last.p99_ns / first.p99_ns.max(1e-9);
-        println!(
-            "p99 flatness   : {} threads at {ratio:.2}x the {}-thread p99 (gate {max_p99_ratio}x)",
-            last.threads, first.threads
-        );
-        if ratio > max_p99_ratio {
-            return Err(CmdError::coded(
-                7,
-                format!(
-                    "search p99 at {} threads is {ratio:.2}x the {}-thread value, above \
-                     the {max_p99_ratio}x gate — the read path is blocking somewhere",
-                    last.threads, first.threads
-                ),
-            ));
-        }
-    }
-    if let Some(base) = flags.get_opt("against") {
-        let tol = parse_tolerance_flag(flags)?;
-        let fresh: Vec<(u64, Vec<(&'static str, f64)>)> = points
-            .iter()
-            .map(|p| {
-                (
-                    p.threads as u64,
-                    vec![("search_p50_ns", p.p50_ns), ("search_p99_ns", p.p99_ns)],
-                )
-            })
-            .collect();
-        gate_against_baseline(
-            base,
-            "search_microbench",
-            "threads",
-            tol,
-            &fresh,
-            &[("search_p50_ns", true), ("search_p99_ns", true)],
-        )?;
-    }
-    Ok(())
-}
-
-/// `xar bench --write`: the write-path micro-bench. For each
-/// population multiplier a fresh sharded engine is filled with pure
-/// ride creates, then a fixed booking storm measures end-to-end
-/// `book_checked` latency and snapshot publish cost, replayed twice —
-/// incremental publication vs forced full rebuilds (DESIGN.md §5f).
-/// The sweep holds ride density constant (city side ∝ √mult): the
-/// shard grows 8× while the detour-bounded dirty set stays fixed, so
-/// incremental publish cost should stay flat-ish as full rebuilds
-/// climb.
-/// `--against` joins the committed `results/BENCH_write.json` baseline
-/// on the workload-independent `mult` field (same contract as the
-/// other bench gates: exit 2 bad baseline, exit 7 regression).
-fn bench_write(flags: &Flags) -> Result<(), CmdError> {
-    const POP_MULTS: [usize; 4] = [1, 2, 4, 8];
-    const MAX_MULT: usize = 8;
-    let shards = parse_shards_flag(flags)?;
-    let rows: usize = flags.get("rows", 30)?;
-    let cols: usize = flags.get("cols", 30)?;
-    let seed: u64 = flags.get("seed", 0xBE7C)?;
-    // The write path is the subject: a bad workload size is a bad
-    // invocation, same exit-9 contract as the other flags.
-    let trips_n: usize = match flags.get_opt("trips") {
-        None => 2_000,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 16 => n,
-            _ => {
-                return Err(CmdError::coded(
-                    9,
-                    format!("--trips must be an integer >= 16 for the write bench, got '{v}'"),
-                ))
-            }
-        },
-    };
-    let storm_n: usize = flags.get("storm", 500)?;
-
-    eprintln!(
-        "write bench base city: {rows}x{cols} (seed {seed}), {trips_n} trips, {shards} shards, \
-         storm {storm_n} — side scales with sqrt(mult), constant ride density"
-    );
-    // Tight detour budgets keep each booking's dirty set small relative
-    // to the region — the regime incremental publication exists for
-    // (matches `bench_write`'s standalone harness).
-    let cfg = SimConfig { detour_limit_m: 1_200.0, ..SimConfig::default() };
-    let engine_cfg = EngineConfig::default();
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut points: Vec<WritePoint> = Vec::new();
-    println!(
-        "{:>5} {:>8} {:>9} {:>9} {:>12} {:>12} {:>14} {:>14} {:>8}",
-        "mult", "rides", "clusters", "bookings", "book p50 µs", "pub p50 µs", "full pub p50",
-        "dirty/pub", "partial"
-    );
-    for m in POP_MULTS {
-        // Constant-density sweep: the city area grows with the
-        // population, so rides-per-cluster is fixed and incremental
-        // publish cost — bounded by the detour-budget dirty set — has
-        // no reason to grow with the shard.
-        let side_scale = (m as f64).sqrt();
-        let (r, c) =
-            ((rows as f64 * side_scale).round() as usize, (cols as f64 * side_scale).round() as usize);
-        let graph = Arc::new(CityConfig::manhattan(r, c, seed).generate());
-        let pois = sample_pois(&graph, &PoiConfig { count: r * c / 2, ..Default::default() });
-        let region = Arc::new(RegionIndex::build(
-            Arc::clone(&graph),
-            &pois,
-            RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
-        ));
-        // The trip-length cap is the other half of constant density:
-        // trips stay metropolitan-local as the map grows, so ride
-        // routes — and the dirty set a booking re-indexes — do not
-        // stretch with the city.
-        let trips = generate_trips(
-            &graph,
-            &TripGenConfig { count: trips_n, seed, max_trip_m: 2_500.0, ..Default::default() },
-        );
-
-        // Trips are time-sorted: populations and the storm are strided
-        // subsets so every one spans the whole day and the storm's
-        // request windows overlap live rides.
-        let evens: Vec<_> = trips.iter().step_by(2).copied().collect();
-        let odds: Vec<_> = trips.iter().skip(1).step_by(2).copied().collect();
-        let storm_len = storm_n.clamp(1, odds.len());
-        let storm: Vec<_> =
-            odds.iter().step_by((odds.len() / storm_len).max(1)).copied().collect();
-        let populate: Vec<_> = evens.iter().step_by(MAX_MULT / m).copied().collect();
-
-        let p = run_write_point(&region, &engine_cfg, &populate, &storm, &cfg, shards, m);
-        println!(
-            "{:>5} {:>8} {:>9} {:>9} {:>12.1} {:>12.1} {:>14.1} {:>14.1} {:>8}",
-            p.mult,
-            p.rides,
-            p.clusters,
-            p.bookings,
-            p.book_p50_ns / 1e3,
-            p.publish_p50_ns / 1e3,
-            p.full_publish_p50_ns / 1e3,
-            p.dirty_clusters_mean,
-            p.partial_publishes,
-        );
-        points.push(p);
-    }
-
-    if let Some(json) = flags.get_opt("json") {
-        let meta = [
-            ("base_rows", rows as f64),
-            ("base_cols", cols as f64),
-            ("seed", seed as f64),
-            ("trips", trips_n as f64),
-            ("storm", storm_n as f64),
-            ("shards", shards as f64),
-        ];
-        std::fs::write(json, write_curve_json(&meta, cores, &points))
-            .map_err(|e| format!("cannot write {json}: {e}"))?;
-        println!("curve          : {json} (cores {cores})");
-    }
-
-    if let Some(base) = flags.get_opt("against") {
-        let tol = parse_tolerance_flag(flags)?;
-        let fresh: Vec<(u64, Vec<(&'static str, f64)>)> = points
-            .iter()
-            .map(|p| {
-                (
-                    p.mult as u64,
-                    vec![
-                        ("book_p50_ns", p.book_p50_ns),
-                        ("book_p99_ns", p.book_p99_ns),
-                        ("publish_p50_ns", p.publish_p50_ns),
-                        ("publish_p99_ns", p.publish_p99_ns),
-                    ],
-                )
-            })
-            .collect();
-        gate_against_baseline(
-            base,
-            "write_microbench",
-            "mult",
-            tol,
-            &fresh,
-            &[
-                ("book_p50_ns", true),
-                ("book_p99_ns", true),
-                ("publish_p50_ns", true),
-                ("publish_p99_ns", true),
-            ],
-        )?;
     }
     Ok(())
 }
@@ -1836,27 +1270,16 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let flags = match Flags::parse(rest) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
-    let result: Result<(), CmdError> = match cmd.as_str() {
-        "build-region" => build_region(&flags).map_err(CmdError::from),
-        "inspect" => inspect(&flags).map_err(CmdError::from),
-        "simulate" => simulate(&flags),
-        "bench" => bench(&flags),
-        "logs" => logs_cmd(&flags),
-        "trace" => trace_cmd(&flags),
-        "top" => top_cmd(&flags),
-        "profile" => profile_cmd(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(CmdError::general(format!("unknown command '{other}'\n{}", usage()))),
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let result = match COMMANDS.iter().find(|(name, _, _)| name == cmd) {
+        None => Err(CmdError::general(format!("unknown command '{cmd}'\n{}", usage()))),
+        Some((_, accepted, run)) => match Flags::parse(rest, accepted) {
+            Ok(flags) => run(&flags),
+            Err(e) => Err(CmdError::general(format!("{cmd}: {e}\n{}", usage()))),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

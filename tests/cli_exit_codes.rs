@@ -1,15 +1,14 @@
-//! Pin the `xar` binary's exit-code contract (ISSUE 4 satellite): CI
-//! and operators branch on these, so a renumbering is a breaking
-//! change. 0 = ok, 1 = generic error, 2 = unreadable / invalid trace
-//! JSON, 3 = trace with no complete request timeline, 4 = trace
-//! missing the drop counter, 7 = `bench` capacity/scaling/`--against`
-//! gate, 8 = `--slo-fail` with a fired SLO, 9 = invalid `--threads` /
-//! `--shards` / `--dispatch` / `--compress-day-s` / `--tolerance` /
-//! `--publish-coalesce-us` / `bench --write` workload /
-//! `xar logs` filter value, 10 = `--max-backlog` snapshot
-//! retire-backlog gate. `xar logs` reuses 2 (unreadable / invalid
-//! events file) and 3 (no events, or none matching the filters). The
-//! full table lives in README.md § Exit codes.
+//! Pin the `xar` binary's exit-code contract: CI and operators branch
+//! on these, so a renumbering is a breaking change. 0 = ok, 1 = generic
+//! error (including an unknown command or flag), 2 = unreadable /
+//! invalid trace JSON, 3 = trace with no complete request timeline,
+//! 4 = trace missing the drop counter, 8 = `--slo-fail` with a fired
+//! SLO, 9 = invalid `--threads` / `--shards` / `--dispatch` /
+//! `--compress-day-s` / `xar logs` filter value, 10 = `--max-backlog`
+//! snapshot retire-backlog gate. Code 7 is retired and stays unused.
+//! `xar logs` reuses 2 (unreadable / invalid events file) and 3 (no
+//! events, or none matching the filters). The full table lives in
+//! README.md § Exit codes.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -81,8 +80,6 @@ fn invalid_threads_or_shards_exit_9_with_a_clear_message() {
         ["simulate", "--threads", "-4"],
         ["simulate", "--shards", "0"],
         ["simulate", "--shards", "999"],
-        ["bench", "--threads", "1,nope"],
-        ["bench", "--shards", "zero"],
         ["simulate", "--dispatch", "nonsense"],
         ["simulate", "--dispatch", "batch:"],
         ["simulate", "--dispatch", "batch:-50"],
@@ -96,26 +93,20 @@ fn invalid_threads_or_shards_exit_9_with_a_clear_message() {
         assert!(msg.contains(args[1].trim_start_matches('-')), "{args:?}: {msg}");
     }
 
-    // A valid value on the same flags does not trip the validator:
-    // `bench` with one tiny point exits 0.
+    // A valid value on the same flags does not trip the validator: a
+    // tiny parallel simulation exits 0.
+    let dir = scratch("valid_threads");
+    let region = dir.join("region.xarr");
     let out = xar(&[
-        "bench", "--rows", "10", "--cols", "10", "--trips", "60", "--threads", "2",
+        "build-region", "--rows", "10", "--cols", "10", "--seed", "7", "--out",
+        region.to_str().unwrap(),
+    ]);
+    assert_eq!(code(&out), 0, "{out:?}");
+    let out = xar(&[
+        "simulate", "--region", region.to_str().unwrap(), "--trips", "60", "--threads", "2",
         "--shards", "2",
     ]);
     assert_eq!(code(&out), 0, "{out:?}");
-}
-
-#[test]
-fn bench_scaling_gate_failure_exits_7() {
-    // An unmeetable --min-scaling (1000x from 1 to 2 threads) must trip
-    // the gate; the capacity audit and the curve still print first.
-    let out = xar(&[
-        "bench", "--rows", "10", "--cols", "10", "--trips", "60", "--threads", "1,2",
-        "--min-scaling", "1000",
-    ]);
-    assert_eq!(code(&out), 7, "{out:?}");
-    let msg = String::from_utf8_lossy(&out.stderr);
-    assert!(msg.contains("below the 1000x gate"), "{msg}");
 }
 
 #[test]
@@ -378,142 +369,32 @@ fn logs_answers_why_for_every_unserved_request_of_a_real_run() {
 }
 
 #[test]
-fn write_bench_and_publish_coalesce_flags_validate_with_exit_9() {
-    // Invalid values fail fast, before any region or workload is
-    // built, each naming the offending flag.
+fn unknown_commands_and_flags_exit_1_naming_them() {
+    // A typo, a flag another subcommand reads, and flags that no
+    // subcommand accepts any more are all rejected before any work
+    // starts, each naming the offending flag.
     for args in [
-        &["simulate", "--publish-coalesce-us", "nope"][..],
-        &["simulate", "--publish-coalesce-us", "-5"][..],
-        &["simulate", "--publish-coalesce-us", "1.5"][..],
-        &["bench", "--write", "--trips", "nope"][..],
-        &["bench", "--write", "--trips", "4"][..],
-        &["bench", "--write", "--shards", "0"][..],
+        &["simulate", "--thread", "4"][..],
+        &["simulate", "--publish-coalesce-us", "500"][..],
+        &["simulate", "--check"][..],
+        &["inspect", "--trips", "5"][..],
+        &["simulate", "--against", "baseline.json"][..],
+        &["simulate", "--tolerance", "10"][..],
+        &["simulate", "--min-scaling", "0.8"][..],
+        &["simulate", "--max-p50-us", "200"][..],
+        &["simulate", "--max-p99-ratio", "25"][..],
+        &["simulate", "--searches", "4000"][..],
+        &["simulate", "--storm", "400"][..],
     ] {
         let out = xar(args);
-        assert_eq!(code(&out), 9, "{args:?} -> {out:?}");
+        assert_eq!(code(&out), 1, "{args:?} -> {out:?}");
         let msg = String::from_utf8_lossy(&out.stderr);
-        let flag = args.iter().find(|a| a.starts_with("--") && *a != &"--write").unwrap();
-        assert!(msg.contains(flag.trim_start_matches('-')), "{args:?}: {msg}");
+        assert!(msg.contains(&format!("unknown flag {}", args[1])), "{args:?}: {msg}");
     }
 
-    // A valid coalescing window is accepted end-to-end on the parallel
-    // driver (the knob's home; the run must still exit 0).
-    let dir = scratch("publish_coalesce");
-    let region = dir.join("region.xarr");
-    let out = xar(&[
-        "build-region", "--rows", "10", "--cols", "10", "--seed", "7", "--out",
-        region.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 0, "{out:?}");
-    let out = xar(&[
-        "simulate", "--region", region.to_str().unwrap(), "--trips", "120", "--threads", "2",
-        "--shards", "2", "--publish-coalesce-us", "500",
-    ]);
-    assert_eq!(code(&out), 0, "{out:?}");
-}
-
-#[test]
-fn write_bench_against_gate_exit_codes() {
-    let dir = scratch("write_bench_against");
-
-    // 2: missing baseline.
-    let out = xar(&[
-        "bench", "--write", "--rows", "10", "--cols", "10", "--trips", "64",
-        "--against", dir.join("missing.json").to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 2, "{out:?}");
-
-    // 9: invalid tolerance is rejected before the baseline is read.
-    let out = xar(&[
-        "bench", "--write", "--rows", "10", "--cols", "10", "--trips", "64",
-        "--against", dir.join("missing.json").to_str().unwrap(), "--tolerance", "nope",
-    ]);
-    assert_eq!(code(&out), 9, "{out:?}");
-
-    // 2: a baseline of the wrong bench kind (points join on `mult`,
-    // but the kind check fires first).
-    let wrong_kind = dir.join("wrong_kind.json");
-    write(
-        &wrong_kind,
-        r#"{"bench":"engine_scaling","points":[{"threads":1,"search_p50_ns":1}]}"#,
-    );
-    let out = xar(&[
-        "bench", "--write", "--rows", "10", "--cols", "10", "--trips", "64",
-        "--against", wrong_kind.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 2, "{out:?}");
-
-    // Self-comparison passes (exit 0) — the curve written by --json is
-    // a valid baseline for the identical run.
-    let json = dir.join("self.json");
-    let out = xar(&[
-        "bench", "--write", "--rows", "10", "--cols", "10", "--trips", "64",
-        "--json", json.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 0, "{out:?}");
-    let out = xar(&[
-        "bench", "--write", "--rows", "10", "--cols", "10", "--trips", "64",
-        "--against", json.to_str().unwrap(), "--tolerance", "10",
-    ]);
-    assert_eq!(code(&out), 0, "{out:?}");
-
-    // 7: an impossible baseline (publish must beat a fraction of a
-    // nanosecond) trips the regression gate.
-    let impossible = dir.join("impossible.json");
-    write(
-        &impossible,
-        r#"{"bench":"write_microbench","points":[{"mult":1,"book_p50_ns":0.001,"book_p99_ns":0.001,"publish_p50_ns":0.001,"publish_p99_ns":0.001}]}"#,
-    );
-    let out = xar(&[
-        "bench", "--write", "--rows", "10", "--cols", "10", "--trips", "64",
-        "--against", impossible.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 7, "{out:?}");
+    // `bench` is no longer a command.
+    let out = xar(&["bench", "--threads", "1"]);
+    assert_eq!(code(&out), 1, "{out:?}");
     let msg = String::from_utf8_lossy(&out.stderr);
-    assert!(msg.contains("regression"), "{msg}");
-}
-
-#[test]
-fn bench_against_gate_exit_codes() {
-    let dir = scratch("bench_against");
-
-    // 2: baseline unreadable / wrong bench kind.
-    let out = xar(&[
-        "bench", "--rows", "10", "--cols", "10", "--trips", "60", "--threads", "1",
-        "--against", dir.join("missing.json").to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 2, "{out:?}");
-
-    // 9: invalid tolerance, validated without measuring anything new…
-    // (the flag gate runs after the measurement, so keep the run tiny).
-    let out = xar(&[
-        "bench", "--rows", "10", "--cols", "10", "--trips", "60", "--threads", "1",
-        "--against", dir.join("missing.json").to_str().unwrap(), "--tolerance", "nope",
-    ]);
-    assert_eq!(code(&out), 9, "{out:?}");
-
-    // Self-comparison: a fresh curve written then compared against
-    // itself passes any tolerance (exit 0), and an absurdly tight
-    // tolerance cannot fail a literal self-match either.
-    let json = dir.join("self.json");
-    let out = xar(&[
-        "bench", "--rows", "10", "--cols", "10", "--trips", "60", "--threads", "1",
-        "--json", json.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 0, "{out:?}");
-
-    // 7: an impossible baseline (absurd throughput, zero-ish latency)
-    // must trip the regression gate.
-    let impossible = dir.join("impossible.json");
-    write(
-        &impossible,
-        r#"{"bench":"engine_scaling","points":[{"threads":1,"requests_per_s":1e15,"search_p50_ns":0.001,"search_p99_ns":0.001}]}"#,
-    );
-    let out = xar(&[
-        "bench", "--rows", "10", "--cols", "10", "--trips", "60", "--threads", "1",
-        "--against", impossible.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 7, "{out:?}");
-    let msg = String::from_utf8_lossy(&out.stderr);
-    assert!(msg.contains("regression"), "{msg}");
+    assert!(msg.contains("unknown command 'bench'"), "{msg}");
 }
