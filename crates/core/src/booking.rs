@@ -264,10 +264,9 @@ impl XarEngine {
             let from = ride.progress_idx;
             XarEngine::index_ride(&region, &config, ride, index, from);
         });
-        // Seats and remaining detour budget changed but the ride set
-        // did not: the next publish can patch this ride's row in the
-        // snapshot table instead of rebuilding it.
-        self.mark_ride_updated(m.ride);
+        // Seats and remaining detour budget changed: the next publish
+        // rewrites this ride's snapshot row.
+        self.mark_ride_dirty(m.ride);
         self.bump_state_version();
         self.stats.bookings.inc();
         // Per-cluster labeled series (successful bookings only): the

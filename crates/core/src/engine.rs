@@ -153,6 +153,9 @@ pub struct XarEngine {
     config: EngineConfig,
     rides: HashMap<RideId, Ride>,
     index: ClusterIndex,
+    /// The id sequence `first_id, first_id + id_stride, …` this engine
+    /// issues ride ids from; `next_id` is the next one.
+    first_id: u64,
     next_id: u64,
     id_stride: u64,
     /// Monotone counter bumped by every mutation that changes what a
@@ -160,41 +163,18 @@ pub struct XarEngine {
     /// sharded engine compares it against the version of the last
     /// published [`crate::ShardSnapshot`] to skip no-op republishes.
     state_version: u64,
-    /// Whether the ride *set* changed since the last publish (create /
-    /// retire): the snapshot's ride table must be rebuilt from scratch.
-    /// Cleared by [`XarEngine::drain_publish_dirt`]. Cluster-level dirt
+    /// Rides created, booked or retired since the last publish — the
+    /// rows a snapshot patch rewrites. `None` for an engine whose
+    /// snapshots nobody publishes: without a publisher to drain it the
+    /// list would grow with every ride ever created. Cluster-level dirt
     /// lives in the index's dirty set.
-    rides_structural: bool,
-    /// Rides whose seats / detour budget changed since the last publish
-    /// while the ride set stayed fixed (bookings): the snapshot's ride
-    /// table can be patched in place instead of rebuilt, keeping the
-    /// publish cost independent of the shard's ride count. Superseded
-    /// by `rides_structural` when set.
-    rides_updated: Vec<RideId>,
+    dirty_rides: Option<Vec<RideId>>,
     /// Rides retired (completed/expired) since the last publish —
     /// drained into the `snapshot.compacted_rides` counter so the
     /// memory-bound story (ROADMAP item 5) is observable.
     pending_compactions: u64,
     pub(crate) stats: EngineStats,
     pub(crate) metrics: EngineMetrics,
-}
-
-/// How the per-ride state columns changed since the last publish —
-/// drained by `XarEngine::drain_publish_dirt` and consumed by
-/// [`crate::ShardSnapshot::build_incremental`] to pick the cheapest
-/// valid way of producing the next snapshot's ride table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RideDirt {
-    /// No ride's seats / budget / liveness changed (tracking-only
-    /// publish): share the previous table by `Arc`.
-    Clean,
-    /// The ride *set* is unchanged but these rides' seats / detour
-    /// budget moved (bookings): patch the previous table's columns in
-    /// place — O(updated) lookups plus per-column memcpys, no
-    /// collect-and-sort over the whole shard.
-    Updated(Vec<RideId>),
-    /// Rides were created or retired: rebuild the table from scratch.
-    Structural,
 }
 
 impl XarEngine {
@@ -213,11 +193,11 @@ impl XarEngine {
             config,
             rides: HashMap::new(),
             index,
+            first_id: 1,
             next_id: 1,
             id_stride: 1,
             state_version: 0,
-            rides_structural: false,
-            rides_updated: Vec::new(),
+            dirty_rides: None,
             pending_compactions: 0,
             stats,
             metrics,
@@ -239,32 +219,32 @@ impl XarEngine {
         self.state_version += 1;
     }
 
-    /// Record that `id`'s seats / detour budget changed while the ride
-    /// set stayed fixed (see the `rides_updated` field). Booking calls
-    /// this from its own module. A no-op once structural dirt is
-    /// pending — the table is rebuilt from scratch then anyway.
+    /// Record that ride `id` was created, booked or retired, so the
+    /// next publish rewrites its snapshot row (see the `dirty_rides`
+    /// field).
     #[inline]
-    pub(crate) fn mark_ride_updated(&mut self, id: RideId) {
-        if !self.rides_structural && self.rides_updated.last() != Some(&id) {
-            self.rides_updated.push(id);
+    pub(crate) fn mark_ride_dirty(&mut self, id: RideId) {
+        if let Some(dirty) = &mut self.dirty_rides {
+            if dirty.last() != Some(&id) {
+                dirty.push(id);
+            }
         }
     }
 
+    /// Start recording dirty rides for a publisher that drains them on
+    /// every publish (the sharded engine, one per shard).
+    pub(crate) fn track_dirty_rides(&mut self) {
+        self.dirty_rides.get_or_insert_with(Vec::new);
+    }
+
     /// Drain everything a publish needs to patch the previous snapshot:
-    /// the dirty cluster ids, how the ride table changed, and how many
-    /// rides were compacted away since the last drain. Leaves the
-    /// engine clean — the caller must actually publish.
-    pub(crate) fn drain_publish_dirt(&mut self) -> (Vec<u32>, RideDirt, u64) {
+    /// the dirty cluster ids, the dirty ride ids, and how many rides
+    /// were compacted away since the last drain. Leaves the engine
+    /// clean — the caller must actually publish.
+    pub(crate) fn drain_publish_dirt(&mut self) -> (Vec<u32>, Vec<RideId>, u64) {
         let clusters = self.index.drain_dirty();
+        let rides = self.dirty_rides.as_mut().map(std::mem::take).unwrap_or_default();
         let compacted = std::mem::replace(&mut self.pending_compactions, 0);
-        let rides = if std::mem::replace(&mut self.rides_structural, false) {
-            self.rides_updated.clear();
-            RideDirt::Structural
-        } else if self.rides_updated.is_empty() {
-            RideDirt::Clean
-        } else {
-            RideDirt::Updated(std::mem::take(&mut self.rides_updated))
-        };
         (clusters, rides, compacted)
     }
 
@@ -282,8 +262,16 @@ impl XarEngine {
     pub(crate) fn set_id_sequence(&mut self, start: u64, stride: u64) {
         debug_assert!(stride >= 1 && start >= 1);
         debug_assert!(self.rides.is_empty(), "id sequence must be set before any ride exists");
+        self.first_id = start;
         self.next_id = start;
         self.id_stride = stride;
+    }
+
+    /// The id sequence this engine issues ride ids from, as
+    /// `(first id, stride)` (see [`XarEngine::set_id_sequence`]).
+    #[inline]
+    pub(crate) fn id_sequence(&self) -> (u64, u64) {
+        (self.first_id, self.id_stride)
     }
 
     /// Route this engine's index mutations into `occupancy` as shard
@@ -435,7 +423,7 @@ impl XarEngine {
         };
         Self::index_ride(&self.region, &self.config, &mut ride, &mut self.index, 0);
         self.rides.insert(id, ride);
-        self.rides_structural = true;
+        self.mark_ride_dirty(id);
         self.bump_state_version();
         self.stats.creates.inc();
         // Occupancy gauge: the ride lives in its source's cluster
@@ -587,7 +575,7 @@ impl XarEngine {
     /// completed), releasing its slot in the occupancy gauge.
     pub(crate) fn retire_ride(&mut self, id: RideId) {
         if let Some(ride) = self.rides.remove(&id) {
-            self.rides_structural = true;
+            self.mark_ride_dirty(id);
             self.pending_compactions += 1;
             if let Some(c) = self.region.cluster_of_node(ride.via_points[0].node) {
                 self.metrics.cluster_rides[EngineMetrics::cluster_bucket(c.0)].add(-1);

@@ -22,8 +22,8 @@
 //! | `engine.snapshot_publishes` | counter | shard snapshots published |
 //! | `engine.snapshot_retired_freed` | counter | retired snapshots reclaimed (epoch passed) |
 //! | `engine.snapshot_backlog` | gauge | retired snapshots still pinned by readers |
-//! | `snapshot.partial_publishes` | counter | publishes that patched only dirty cluster segments (vs full rebuilds) |
-//! | `snapshot.dirty_clusters` | histogram | dirty clusters drained per publish (full or partial) |
+//! | `snapshot.partial_publishes` | counter | publishes that patched the previous snapshot — every publish, so it equals `engine.snapshot_publishes` |
+//! | `snapshot.dirty_clusters` | histogram | dirty clusters drained per publish |
 //! | `snapshot.compacted_rides` | counter | retired rides compacted out of snapshots at publish |
 //! | `engine.searches` / `creates` / `bookings` / `tracks` | counter | operation counts ([`crate::engine::EngineStats`]) |
 //! | `engine.shortest_paths` | counter | shortest-path computations (create/book — never search) |
@@ -103,13 +103,13 @@ pub struct EngineMetrics {
     /// older epoch. Persistently non-zero means a reader is stuck
     /// pinned.
     pub snapshot_backlog: Arc<Gauge>,
-    /// Publishes that patched the previous snapshot (rebuilt only dirty
-    /// cluster segments, structurally sharing the rest) instead of a
-    /// full rebuild. `snapshot_publishes − snapshot_partial_publishes`
-    /// is the full-rebuild count.
+    /// Publishes that patched the previous snapshot. Patching is the
+    /// only publish path, so this always equals `snapshot_publishes`;
+    /// it is kept because the serving benchmark (`perfbench/`) derives
+    /// its `full_share` figure from it (now always 0).
     pub snapshot_partial_publishes: Arc<Counter>,
-    /// Dirty clusters drained per publish — the quantity incremental
-    /// publish cost is proportional to.
+    /// Dirty clusters drained per publish — the quantity publish cost
+    /// is mostly proportional to.
     pub snapshot_dirty_clusters: Arc<Histogram>,
     /// Retired (completed/expired) rides compacted out of the published
     /// ride table — the memory-bound half of ROADMAP item 5.

@@ -44,7 +44,7 @@
 //! locks, `lock.read_hold_ns` records only maintenance reads (the
 //! `track_all` emptiness probes, audits, memory accounting).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
@@ -157,9 +157,6 @@ struct Inner {
     metrics: EngineMetrics,
     read_hold_ns: Arc<Histogram>,
     write_hold_ns: Arc<Histogram>,
-    /// Force every publish down the full-rebuild path (equivalence
-    /// testing); incremental patching is the default.
-    full_publish: AtomicBool,
 }
 
 /// A clonable, thread-safe, cluster-sharded XAR engine (module docs
@@ -233,6 +230,7 @@ impl ShardedXarEngine {
                     EngineMetrics::with_registry(Arc::clone(&registry)),
                 );
                 engine.set_id_sequence(i as u64 + 1, n as u64);
+                engine.track_dirty_rides();
                 engine.attach_shard_occupancy(Arc::clone(&occupancy), i as u32);
                 Self::make_shard(engine, i, &registry)
             })
@@ -249,17 +247,15 @@ impl ShardedXarEngine {
                 metrics,
                 read_hold_ns,
                 write_hold_ns,
-                full_publish: AtomicBool::new(false),
             }),
         }
     }
 
-    fn make_shard(mut engine: XarEngine, i: usize, registry: &Arc<Registry>) -> Shard {
+    fn make_shard(engine: XarEngine, i: usize, registry: &Arc<Registry>) -> Shard {
         let label = format!("s{i}");
-        // Seed the snapshot with a full build of the fresh engine; the
-        // build already reflects any dirt the set-up left, so drain it.
-        let snapshot = SnapshotCell::new(ShardSnapshot::build(&engine));
-        let _ = engine.drain_publish_dirt();
+        // A fresh engine holds no rides and no entries: the empty
+        // snapshot mirrors it, and every later write patches from there.
+        let snapshot = SnapshotCell::new(ShardSnapshot::empty(engine.index().cluster_count()));
         let published_version = AtomicU64::new(engine.state_version());
         Shard {
             lock: RwLock::new(engine),
@@ -268,14 +264,6 @@ impl ShardedXarEngine {
             read_hold_ns: registry.histogram_with("lock.read_hold_ns", &[("shard", &label)]),
             write_hold_ns: registry.histogram_with("lock.write_hold_ns", &[("shard", &label)]),
         }
-    }
-
-    /// Force every snapshot publish down the full-rebuild path instead
-    /// of patching dirty cluster segments. The incremental ≡ full
-    /// equivalence tests flip this; production keeps the default
-    /// (`false`).
-    pub fn set_full_publish(&self, full: bool) {
-        self.inner.full_publish.store(full, Ordering::Relaxed);
     }
 
     /// Number of shards.
@@ -470,14 +458,11 @@ impl ShardedXarEngine {
     }
 
     /// Publish shard `i`'s search snapshot if its engine's searchable
-    /// state changed: drain the engine's dirty clusters and patch the
-    /// previous snapshot ([`ShardSnapshot::build_incremental`] —
-    /// unchanged cluster segments are `Arc`-shared, so the cost is
-    /// proportional to the dirt, not the shard). Falls back to a full
-    /// rebuild when at least half the clusters are dirty (the patch
-    /// would copy most of the pointer array anyway and the full build
-    /// resets `entries` drift exactly) or when
-    /// [`ShardedXarEngine::set_full_publish`] is on.
+    /// state changed: drain the engine's dirty clusters and rides and
+    /// patch the previous snapshot with them ([`ShardSnapshot::patch`] —
+    /// unchanged segments and ride rows are `Arc`-shared by block, so
+    /// the cost is proportional to the dirt, not the shard). This is the
+    /// only way a snapshot follows engine state.
     ///
     /// Called by every write path while it still holds the shard write
     /// lock, so publishes serialize per shard and each snapshot is a
@@ -506,28 +491,20 @@ impl ShardedXarEngine {
         let mut tspan = xar_obs::trace::span("snapshot.publish");
         tspan.attr("shard", i);
         let m = &self.inner.metrics;
-        let (dirty, ride_dirt, compacted) = engine.drain_publish_dirt();
+        let (dirty, dirty_rides, compacted) = engine.drain_publish_dirt();
         let next = {
             // Pin only while reading the previous snapshot for the
             // patch; the guard must drop before `publish` below or our
             // own pin would keep the snapshot we retire from being
             // freed (inflating the backlog gauge for no reason).
             let guard = snapshot::pin();
-            let prev = shard.snapshot.load(&guard);
-            if self.inner.full_publish.load(Ordering::Relaxed)
-                || prev.cluster_count() != engine.index().cluster_count()
-                || dirty.len() * 2 >= prev.cluster_count().max(1)
-            {
-                ShardSnapshot::build(engine)
-            } else {
-                m.snapshot_partial_publishes.inc();
-                ShardSnapshot::build_incremental(engine, prev, &dirty, &ride_dirt)
-            }
+            ShardSnapshot::patch(shard.snapshot.load(&guard), engine, &dirty, &dirty_rides)
         };
         let outcome = shard.snapshot.publish(next);
         shard.published_version.store(version, Ordering::Release);
         m.snapshot_publish_ns.record(t0.elapsed().as_nanos() as u64);
         m.snapshot_publishes.inc();
+        m.snapshot_partial_publishes.inc();
         m.snapshot_dirty_clusters.record(dirty.len() as u64);
         m.snapshot_compacted_rides.add(compacted);
         m.snapshot_retired_freed.add(outcome.freed as u64);
@@ -639,18 +616,19 @@ impl ShardedXarEngine {
         retired
     }
 
-    /// Whether every shard's published snapshot is content-identical to
-    /// a fresh full rebuild of its engine state (and its published
-    /// version has caught up) — the incremental ≡ full invariant,
-    /// exposed for tests and audits. Takes each shard's read lock
-    /// briefly.
+    /// Whether every shard's published snapshot holds exactly its live
+    /// engine's searchable state ([`ShardSnapshot::mirrors`]) and its
+    /// published version has caught up — the invariant that patching
+    /// loses and invents nothing, checked against the live engine as an
+    /// independent reference. Exposed for tests and audits. Takes each
+    /// shard's read lock briefly.
     pub fn snapshots_consistent(&self) -> bool {
         let guard = snapshot::pin();
         (0..self.inner.shards.len()).all(|i| {
             let shard = &self.inner.shards[i];
             let (eng, _hold) = self.read_shard(i);
             shard.published_version.load(Ordering::Acquire) == eng.state_version()
-                && shard.snapshot.load(&guard).content_eq(&ShardSnapshot::build(&eng))
+                && shard.snapshot.load(&guard).mirrors(&eng)
         })
     }
 
@@ -986,8 +964,8 @@ mod tests {
         // `publish_shard`) may skip a publish only when the published
         // snapshot already reflects the engine state exactly. Interleave
         // real mutations with no-op sweeps and verify after every step
-        // that the published snapshot is content-identical to a full
-        // rebuild — a skipped-but-pending rebuild would diverge here.
+        // that the published snapshot mirrors the live engine — a
+        // skipped-but-pending publish would diverge here.
         let region = region(31);
         let graph = Arc::clone(region.graph());
         let n = graph.node_count() as u32;
@@ -1018,27 +996,48 @@ mod tests {
         let region = region(31);
         let graph = Arc::clone(region.graph());
         let eng = ShardedXarEngine::new(region, EngineConfig::default(), 4);
-        // Small detour budgets keep the reachable sets — and so the
-        // dirty fraction — small; the 30-cluster test city would
-        // otherwise trip the ≥half-dirty full-rebuild heuristic on
-        // every create.
         let tight = |i: u32| RideOffer { detour_limit_m: 250.0, ..offer(&graph, i) };
         for i in 0..30 {
             let _ = eng.create_ride(&tight(i));
         }
         let m = eng.metrics();
-        assert!(
-            m.snapshot_partial_publishes.get() > 0,
-            "steady-state creates must take the incremental path"
+        assert!(m.snapshot_publishes.get() > 0);
+        assert_eq!(
+            m.snapshot_partial_publishes.get(),
+            m.snapshot_publishes.get(),
+            "every publish patches the previous snapshot"
         );
         assert!(m.snapshot_dirty_clusters.count() >= m.snapshot_publishes.get());
         assert!(eng.snapshots_consistent());
-        // Full-publish mode still converges to the same content.
-        eng.set_full_publish(true);
-        let partial_before = m.snapshot_partial_publishes.get();
-        let _ = eng.create_ride(&tight(31));
-        assert_eq!(m.snapshot_partial_publishes.get(), partial_before);
-        assert!(eng.snapshots_consistent());
+    }
+
+    #[test]
+    fn mirrors_rejects_a_stale_snapshot_and_a_full_build_is_a_patch_from_empty() {
+        let region = region(31);
+        let graph = Arc::clone(region.graph());
+        let mut eng = XarEngine::new(Arc::clone(&region), EngineConfig::default());
+        eng.track_dirty_rides();
+        let empty = ShardSnapshot::empty(region.cluster_count());
+        assert!(empty.mirrors(&eng));
+        let ids: Vec<RideId> = (0..12).filter_map(|i| eng.create_ride(&offer(&graph, i)).ok()).collect();
+        assert!(!empty.mirrors(&eng), "a snapshot missing every ride must not mirror");
+
+        // Every cluster and ride dirty: the patch from empty is a full build.
+        let all: Vec<u32> = (0..region.cluster_count() as u32).collect();
+        let full = ShardSnapshot::patch(&empty, &eng, &all, &ids);
+        assert!(full.mirrors(&eng));
+        assert_eq!(full.ride_count(), ids.len());
+
+        // Retire one ride: the old snapshot goes stale, the drained dirt
+        // patches it back into step.
+        let _ = eng.drain_publish_dirt();
+        eng.track_ride(ids[0], f64::INFINITY).unwrap();
+        assert!(!full.mirrors(&eng), "a snapshot holding a retired ride must not mirror");
+        let (clusters, rides, _) = eng.drain_publish_dirt();
+        assert_eq!(rides, vec![ids[0]]);
+        let next = ShardSnapshot::patch(&full, &eng, &clusters, &rides);
+        assert!(next.mirrors(&eng));
+        assert_eq!(next.ride_count(), ids.len() - 1);
     }
 
     #[test]

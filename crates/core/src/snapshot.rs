@@ -55,11 +55,14 @@
 //! search Step 1 is two `partition_point` calls on a contiguous `f64`
 //! column instead of a `BTreeMap` walk, and the whole search runs
 //! without allocating (candidate buffers live in a thread-local
-//! [`SearchScratch`]). Segments are `Arc`-shared between successive
-//! snapshots: [`ShardSnapshot::build_incremental`] rebuilds only the
-//! segments of clusters whose entries changed since the previous
-//! publish and clones the rest by pointer, which makes the write-path
-//! publish cost proportional to the *touched* clusters, not the shard
+//! [`SearchScratch`]). Cluster segments and per-ride feasibility rows
+//! live in the same kind of copy-on-write directory of `Arc`'d 64-slot
+//! blocks, shared between successive snapshots. There is one way to
+//! follow engine state: start from [`ShardSnapshot::empty`] and apply
+//! each write's dirt with [`ShardSnapshot::patch`], which rebuilds only
+//! the dirty clusters' segments, rewrites only the dirty rides' rows
+//! and copies only the blocks they land in. The write-path publish cost
+//! therefore follows the *touched* clusters and rides, not the shard
 //! size (DESIGN.md §5f).
 
 use std::cell::{Cell, RefCell};
@@ -69,9 +72,9 @@ use std::sync::{Arc, Mutex};
 
 use xar_discretize::{ClusterId, WalkEntry};
 
-use crate::engine::{RideDirt, XarEngine};
+use crate::engine::XarEngine;
 use crate::request::RideRequest;
-use crate::ride::RideId;
+use crate::ride::{Ride, RideId};
 use crate::search::RideMatch;
 
 /// Slot value: unclaimed, available for any thread to take.
@@ -488,117 +491,143 @@ impl ClusterSeg {
     }
 }
 
-/// The per-ride feasibility columns, sorted by ride id for binary
-/// search. `Arc`-shared with the previous snapshot when a publish
-/// changed no ride's seats / budget / liveness (tracking-only
-/// publishes).
-struct RideTable {
-    ids: Vec<RideId>,
-    seats: Vec<u8>,
-    budget_m: Vec<f64>,
+/// One ride's feasibility row: free seats and remaining detour budget.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RideRow {
+    seats: u8,
+    budget_m: f64,
 }
 
-impl RideTable {
-    fn build(engine: &XarEngine) -> Self {
-        let mut rides: Vec<_> =
-            engine.rides().map(|r| (r.id, r.seats_available, r.detour_remaining_m())).collect();
-        rides.sort_unstable_by_key(|&(id, _, _)| id);
-        let mut t = Self {
-            ids: Vec::with_capacity(rides.len()),
-            seats: Vec::with_capacity(rides.len()),
-            budget_m: Vec::with_capacity(rides.len()),
-        };
-        for (id, seats, budget) in rides {
-            t.ids.push(id);
-            t.seats.push(seats);
-            t.budget_m.push(budget);
+impl RideRow {
+    fn of(ride: &Ride) -> Self {
+        Self { seats: ride.seats_available, budget_m: ride.detour_remaining_m() }
+    }
+}
+
+/// Block size of the snapshot directories: large enough that the
+/// per-block `Arc` overhead vanishes, small enough that copying the
+/// block a dirty cluster or ride lands in stays far below copying the
+/// whole directory. A publish with k dirty clusters and r dirty rides
+/// copies at most k + r blocks, and usually far fewer: detour-bounded
+/// writes dirty neighbouring clusters, and a shard's recent rides share
+/// its trailing ride blocks.
+const SEG_BLOCK: usize = 64;
+
+/// A copy-on-write directory of optional rows in `Arc`'d blocks of
+/// [`SEG_BLOCK`] slots, covering slots `first..`. Cloning it costs one
+/// `Arc` bump per block; [`BlockDir::set`] copies a block only on the
+/// first write into a block still shared with an older snapshot. An
+/// empty slot (`None`: a cluster with no entries, a ride id retired or
+/// not yet issued) costs neither an allocation nor an `Arc` bump.
+#[derive(Clone)]
+struct BlockDir<T> {
+    /// The first slot held; always a multiple of [`SEG_BLOCK`].
+    first: usize,
+    blocks: Vec<Arc<Vec<Option<T>>>>,
+}
+
+impl<T: Clone> BlockDir<T> {
+    /// `len` empty slots from slot 0 (the last block may be partial).
+    fn with_len(len: usize) -> Self {
+        Self {
+            first: 0,
+            blocks: (0..len.div_ceil(SEG_BLOCK))
+                .map(|b| Arc::new(vec![None; SEG_BLOCK.min(len - b * SEG_BLOCK)]))
+                .collect(),
         }
-        t
     }
 
-    /// Copy `prev` and overwrite the seats / budget rows of `updated`
-    /// rides with the engine's current values. Valid only when the ride
-    /// *set* is unchanged since `prev` was built — [`RideDirt`] tracking
-    /// guarantees any create / retire escalates to `Structural` before
-    /// this path is taken, so every updated id resolves in both the
-    /// previous table and the live engine. Three column memcpys plus a
-    /// binary search per updated ride: allocation count and lookup work
-    /// are independent of the shard's ride count.
-    fn patch(prev: &RideTable, engine: &XarEngine, updated: &[RideId]) -> Self {
-        let mut t = Self {
-            ids: prev.ids.clone(),
-            seats: prev.seats.clone(),
-            budget_m: prev.budget_m.clone(),
-        };
-        for &id in updated {
-            let i = t
-                .ids
-                .binary_search(&id)
-                .expect("updated ride missing from previous snapshot despite non-structural dirt");
-            let r = engine
-                .ride(id)
-                .expect("updated ride missing from engine despite non-structural dirt");
-            t.seats[i] = r.seats_available;
-            t.budget_m[i] = r.detour_remaining_m();
-        }
-        t
+    #[inline]
+    fn get(&self, slot: usize) -> Option<&T> {
+        let i = slot.checked_sub(self.first)?;
+        self.blocks.get(i / SEG_BLOCK)?.get(i % SEG_BLOCK)?.as_ref()
     }
 
-    fn heap_bytes(&self) -> usize {
-        self.ids.capacity() * std::mem::size_of::<RideId>()
-            + self.seats.capacity()
-            + self.budget_m.capacity() * std::mem::size_of::<f64>()
+    /// Overwrite `slot`, returning its previous row. A row past the end
+    /// appends empty blocks to cover it; clearing a slot the directory
+    /// does not hold is a no-op.
+    fn set(&mut self, slot: usize, row: Option<T>) -> Option<T> {
+        let i = slot.checked_sub(self.first)?;
+        let b = i / SEG_BLOCK;
+        if b >= self.blocks.len() && row.is_some() {
+            self.blocks.resize_with(b + 1, || Arc::new(vec![None; SEG_BLOCK]));
+        }
+        let block = Arc::make_mut(self.blocks.get_mut(b)?);
+        std::mem::replace(&mut block[i % SEG_BLOCK], row)
+    }
+
+    /// Drop leading all-empty blocks, always keeping the last one. Only
+    /// sound for slots that fill in increasing order (ride ids): a block
+    /// before the last covers ids already issued, so once empty it can
+    /// never be written again.
+    fn trim_front(&mut self) {
+        let dead = self.blocks[..self.blocks.len().saturating_sub(1)]
+            .iter()
+            .take_while(|b| b.iter().all(Option::is_none))
+            .count();
+        self.blocks.drain(..dead);
+        self.first += dead * SEG_BLOCK;
+    }
+
+    /// Every filled row, in slot order.
+    fn rows(&self) -> impl Iterator<Item = &T> {
+        self.blocks.iter().flat_map(|b| b.iter().flatten())
+    }
+
+    /// Heap bytes of the directory and its blocks, plus `row_heap` per
+    /// filled row.
+    fn heap_bytes(&self, row_heap: impl Fn(&T) -> usize) -> usize {
+        self.blocks.capacity() * std::mem::size_of::<Arc<Vec<Option<T>>>>()
+            + self
+                .blocks
+                .iter()
+                .map(|b| b.capacity() * std::mem::size_of::<Option<T>>())
+                .sum::<usize>()
+            + self.rows().map(row_heap).sum::<usize>()
     }
 }
 
 /// An immutable, point-in-time copy of everything search reads from one
-/// shard: the per-cluster potential-rides lists as `Arc`-shared
-/// `ClusterSeg` columns, plus the per-ride feasibility table (free
-/// seats, remaining detour budget).
+/// shard: each cluster's potential-rides list as `ClusterSeg` columns,
+/// and each live ride's feasibility row (free seats, remaining detour
+/// budget), both in 64-slot block directories shared with
+/// neighbouring snapshots.
 ///
-/// Built either from scratch ([`ShardSnapshot::build`]) or by patching
-/// the previous snapshot ([`ShardSnapshot::build_incremental`]), which
-/// rebuilds only the segments of dirty clusters and structurally
-/// shares everything else. The two constructions are content-equal by
-/// construction — a property the `incremental_publish` test pins.
+/// There is one way to follow engine state: start from
+/// [`ShardSnapshot::empty`] and [`ShardSnapshot::patch`] in each
+/// write's dirt — a full build is a patch from empty with every cluster
+/// and ride dirty. [`ShardSnapshot::mirrors`] checks a snapshot against
+/// the live engine it follows.
 pub struct ShardSnapshot {
-    /// Per-cluster entry segments, stored in fixed-size `Arc`'d
-    /// **blocks** of [`SEG_BLOCK`] slots: cloning the snapshot costs
-    /// one `Arc` bump per *block* (⌈clusters / 64⌉), not one per
-    /// cluster, and an incremental publish copies only the blocks a
-    /// dirty cluster lands in. `None` means the cluster currently
-    /// holds no entries (most clusters, most of the time — an empty
-    /// segment costs neither an allocation nor an `Arc` bump).
-    clusters: Vec<Arc<SegBlock>>,
+    /// Per-cluster entry segments, by cluster id.
+    clusters: BlockDir<Arc<ClusterSeg>>,
     /// Clusters covered (the last block may be partially filled).
     cluster_count: usize,
-    /// Ride feasibility table, sorted by ride id for binary search.
-    rides: Arc<RideTable>,
+    /// Ride rows, by shard-local slot `(id − first_id) / id_stride`.
+    /// Ids are issued in increasing order, so leading blocks whose
+    /// rides have all retired are dropped and the directory spans only
+    /// the live id range.
+    rides: BlockDir<RideRow>,
+    /// The shard's ride id sequence `first_id, first_id + id_stride, …`.
+    first_id: u64,
+    id_stride: u64,
+    /// Filled ride slots.
+    ride_count: usize,
     /// Total `⟨ride, eta⟩` entries across all segments.
     entries: usize,
 }
-
-/// Block size of the segment directory: large enough that the
-/// per-block `Arc` overhead vanishes, small enough that copying the
-/// block a dirty cluster lands in stays far below copying the whole
-/// directory. Publishing with k dirty clusters touches at most k
-/// blocks (fewer when the dirty set is spatially coherent, which
-/// detour-bounded bookings are).
-const SEG_BLOCK: usize = 64;
-
-/// One directory block: up to [`SEG_BLOCK`] per-cluster segment slots.
-type SegBlock = Vec<Option<Arc<ClusterSeg>>>;
 
 impl ShardSnapshot {
     /// A snapshot with `cluster_count` clusters and no rides (the state
     /// of a freshly created shard).
     pub fn empty(cluster_count: usize) -> Self {
         Self {
-            clusters: (0..cluster_count.div_ceil(SEG_BLOCK))
-                .map(|b| Arc::new(vec![None; SEG_BLOCK.min(cluster_count - b * SEG_BLOCK)]))
-                .collect(),
+            clusters: BlockDir::with_len(cluster_count),
             cluster_count,
-            rides: Arc::new(RideTable { ids: Vec::new(), seats: Vec::new(), budget_m: Vec::new() }),
+            rides: BlockDir::with_len(0),
+            first_id: 1,
+            id_stride: 1,
+            ride_count: 0,
             entries: 0,
         }
     }
@@ -606,7 +635,15 @@ impl ShardSnapshot {
     /// The segment of cluster `c`, if it holds any entries.
     #[inline]
     fn seg(&self, c: usize) -> Option<&ClusterSeg> {
-        self.clusters[c / SEG_BLOCK][c % SEG_BLOCK].as_deref()
+        self.clusters.get(c).map(|s| &**s)
+    }
+
+    /// The shard-local slot of `ride`, or `None` for an id outside this
+    /// shard's sequence.
+    #[inline]
+    fn slot(&self, ride: RideId) -> Option<usize> {
+        let d = ride.0.checked_sub(self.first_id)?;
+        (d % self.id_stride == 0).then_some((d / self.id_stride) as usize)
     }
 
     /// Build one cluster's segment from the live index; `None` when the
@@ -636,97 +673,76 @@ impl ShardSnapshot {
         Some(Arc::new(seg))
     }
 
-    /// Freeze `engine`'s searchable state from scratch. Called by shard
-    /// writers while holding the shard write lock, so the copy is
-    /// consistent.
-    pub fn build(engine: &XarEngine) -> Self {
-        let index = engine.index();
-        let clusters = index.cluster_count();
-        let mut snap = Self {
-            clusters: Vec::with_capacity(clusters.div_ceil(SEG_BLOCK)),
-            cluster_count: clusters,
-            rides: Arc::new(RideTable::build(engine)),
-            entries: 0,
-        };
-        let mut block: SegBlock = Vec::with_capacity(SEG_BLOCK);
-        for c in 0..clusters as u32 {
-            let seg = Self::build_segment(index, ClusterId(c));
-            snap.entries += seg.as_ref().map_or(0, |s| s.eta_s.len());
-            block.push(seg);
-            if block.len() == SEG_BLOCK {
-                snap.clusters
-                    .push(Arc::new(std::mem::replace(&mut block, Vec::with_capacity(SEG_BLOCK))));
-            }
-        }
-        if !block.is_empty() {
-            snap.clusters.push(Arc::new(block));
-        }
-        snap
-    }
-
-    /// Patch `prev` into `engine`'s current state: rebuild only the
-    /// segments of `dirty` clusters, clone every clean segment by
-    /// pointer, and produce the ride table the cheapest valid way
-    /// `ride_dirt` allows — `Arc`-share it (tracking-only publish),
-    /// patch the updated rows in place (bookings), or rebuild it from
-    /// scratch (create / retire changed the ride set). The caller must
-    /// hold the shard write lock and pass the exact dirt accumulated
-    /// since `prev` was built; allocation count is then O(|dirty|),
-    /// not O(clusters), and independent of the shard's ride count.
-    pub fn build_incremental(
-        engine: &XarEngine,
+    /// Patch `prev` into `engine`'s current state: rebuild the segment
+    /// of every cluster in `dirty_clusters` from the live index, rewrite
+    /// the row of every ride in `dirty_rides` from the live engine
+    /// (clearing it when the engine no longer holds the ride), and share
+    /// everything else with `prev` by pointer. The caller must hold the
+    /// shard write lock and pass every cluster and ride that changed
+    /// since `prev` (duplicates are harmless). The work is O(dirty
+    /// clusters + dirty rides), independent of the shard's size.
+    pub fn patch(
         prev: &ShardSnapshot,
-        dirty: &[u32],
-        ride_dirt: &RideDirt,
+        engine: &XarEngine,
+        dirty_clusters: &[u32],
+        dirty_rides: &[RideId],
     ) -> Self {
         let index = engine.index();
         debug_assert_eq!(prev.cluster_count, index.cluster_count());
+        let (first_id, id_stride) = engine.id_sequence();
         let mut snap = Self {
-            // One Arc bump per *block*, not per cluster.
+            // One Arc bump per block, not per cluster or ride.
             clusters: prev.clusters.clone(),
             cluster_count: prev.cluster_count,
-            rides: match ride_dirt {
-                RideDirt::Clean => Arc::clone(&prev.rides),
-                RideDirt::Updated(ids) => Arc::new(RideTable::patch(&prev.rides, engine, ids)),
-                RideDirt::Structural => Arc::new(RideTable::build(engine)),
-            },
+            rides: prev.rides.clone(),
+            first_id,
+            id_stride,
+            ride_count: prev.ride_count,
             entries: prev.entries,
         };
-        for &c in dirty {
-            let (b, i) = (c as usize / SEG_BLOCK, c as usize % SEG_BLOCK);
-            // The first dirty cluster in a still-shared block copies
-            // that block's slots; later dirty clusters in the same
-            // block mutate the copy in place.
-            let block = Arc::make_mut(&mut snap.clusters[b]);
-            let old = block[i].take();
-            snap.entries -= old.map_or(0, |s| s.eta_s.len());
+        for &c in dirty_clusters {
             let seg = Self::build_segment(index, ClusterId(c));
             snap.entries += seg.as_ref().map_or(0, |s| s.eta_s.len());
-            block[i] = seg;
+            let old = snap.clusters.set(c as usize, seg);
+            snap.entries -= old.map_or(0, |s| s.eta_s.len());
         }
+        for &id in dirty_rides {
+            let Some(slot) = snap.slot(id) else { continue };
+            let row = engine.ride(id).map(RideRow::of);
+            snap.ride_count += usize::from(row.is_some());
+            snap.ride_count -= usize::from(snap.rides.set(slot, row).is_some());
+        }
+        snap.rides.trim_front();
         snap
     }
 
-    /// Whether `self` and `other` carry identical logical content —
-    /// every cluster's entry columns and the full ride table. The
-    /// oracle behind the `incremental publish ≡ full rebuild` property
-    /// test (`f64` columns compare bitwise; none hold NaN).
-    pub fn content_eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
-            && self.cluster_count == other.cluster_count
-            && self.rides.ids == other.rides.ids
-            && self.rides.seats == other.rides.seats
-            && self.rides.budget_m == other.rides.budget_m
-            && (0..self.cluster_count).all(|c| match (self.seg(c), other.seg(c)) {
-                (None, None) => true,
-                (Some(a), Some(b)) => {
-                    a.eta_s == b.eta_s
-                        && a.ride == b.ride
-                        && a.detour_m == b.detour_m
-                        && a.seg == b.seg
-                        && a.pass_route_idx == b.pass_route_idx
-                }
-                _ => false,
+    /// Whether `self` holds exactly `engine`'s searchable state: each
+    /// cluster's columns equal the live index's `entries_of(c)` row for
+    /// row, and the ride rows equal the seats and remaining budgets of
+    /// `engine.rides()`, with no row for any other id. The oracle behind
+    /// [`crate::ShardedXarEngine::snapshots_consistent`] (`f64` columns
+    /// compare exactly; none hold NaN).
+    pub fn mirrors(&self, engine: &XarEngine) -> bool {
+        let index = engine.index();
+        let cluster_mirrors = |c: usize| {
+            let id = ClusterId(c as u32);
+            let Some(s) = self.seg(c) else { return index.cluster_len(id) == 0 };
+            s.eta_s.len() == index.cluster_len(id)
+                && index.entries_of(id).enumerate().all(|(i, e)| {
+                    s.eta_s[i] == e.eta_s
+                        && s.ride[i] == e.ride
+                        && s.detour_m[i] == e.detour_m
+                        && s.seg[i] == e.seg as u32
+                        && s.pass_route_idx[i] == e.pass_route_idx as u32
+                })
+        };
+        self.cluster_count == index.cluster_count()
+            && self.entries == index.len()
+            && (0..self.cluster_count).all(cluster_mirrors)
+            && self.ride_count == engine.ride_count()
+            && self.rides.rows().count() == self.ride_count
+            && engine.rides().all(|r| {
+                self.slot(r.id).and_then(|s| self.rides.get(s)) == Some(&RideRow::of(r))
             })
     }
 
@@ -742,43 +758,27 @@ impl ShardSnapshot {
         self.cluster_count
     }
 
-    /// Number of rides in the feasibility table.
+    /// Number of live rides in the snapshot.
     #[inline]
     pub fn ride_count(&self) -> usize {
-        self.rides.ids.len()
+        self.ride_count
     }
 
     /// `(free seats, remaining detour budget)` of `ride`, if it is live
     /// in this snapshot.
     #[inline]
     fn ride_state(&self, ride: RideId) -> Option<(u8, f64)> {
-        self.rides
-            .ids
-            .binary_search(&ride)
-            .ok()
-            .map(|i| (self.rides.seats[i], self.rides.budget_m[i]))
+        let row = self.rides.get(self.slot(ride)?)?;
+        Some((row.seats, row.budget_m))
     }
 
     /// Approximate heap bytes held by the snapshot (index-size
-    /// accounting). Segments shared with other snapshots are counted in
-    /// full here — the number answers "what does this view keep alive",
-    /// not "what is uniquely owned".
+    /// accounting). Blocks and segments shared with other snapshots are
+    /// counted in full here — the number answers "what does this view
+    /// keep alive", not "what is uniquely owned".
     pub fn heap_bytes(&self) -> usize {
-        self.clusters.capacity() * std::mem::size_of::<Arc<SegBlock>>()
-            + self
-                .clusters
-                .iter()
-                .map(|block| {
-                    block.capacity() * std::mem::size_of::<Option<Arc<ClusterSeg>>>()
-                        + block
-                            .iter()
-                            .flatten()
-                            .map(|s| s.heap_bytes() + std::mem::size_of::<ClusterSeg>())
-                            .sum::<usize>()
-                })
-                .sum::<usize>()
-            + self.rides.heap_bytes()
-            + std::mem::size_of::<RideTable>()
+        self.clusters.heap_bytes(|s| s.heap_bytes() + std::mem::size_of::<ClusterSeg>())
+            + self.rides.heap_bytes(|_| 0)
     }
 
     /// The candidate-generation and feasibility core of search against
@@ -1039,12 +1039,46 @@ mod tests {
     }
 
     #[test]
-    fn empty_snapshots_are_content_equal_and_sized() {
+    fn empty_snapshots_are_sized() {
         let a = ShardSnapshot::empty(3);
-        let b = ShardSnapshot::empty(3);
-        assert!(a.content_eq(&b));
-        assert!(!a.content_eq(&ShardSnapshot::empty(4)), "cluster counts must match");
+        assert_eq!(a.cluster_count(), 3);
         assert_eq!(a.entry_count(), 0);
         assert_eq!(a.ride_count(), 0);
+        assert_eq!(a.ride_state(RideId(1)), None);
+    }
+
+    #[test]
+    fn block_dir_copies_written_blocks_only_and_trims_retired_leading_blocks() {
+        let mut dir: BlockDir<u32> = BlockDir::with_len(0);
+        for slot in 0..3 * SEG_BLOCK {
+            dir.set(slot, Some(slot as u32));
+        }
+        let prev = dir.clone();
+        assert_eq!(dir.set(5, None), Some(5));
+        assert!(!Arc::ptr_eq(&dir.blocks[0], &prev.blocks[0]), "written block is copied");
+        assert!(Arc::ptr_eq(&dir.blocks[1], &prev.blocks[1]), "untouched block is shared");
+        assert_eq!(prev.get(5), Some(&5), "the older directory keeps its row");
+
+        // Retire every row of block 0: the directory now starts at block 1.
+        for slot in 0..SEG_BLOCK {
+            dir.set(slot, None);
+        }
+        dir.trim_front();
+        assert_eq!((dir.first, dir.blocks.len()), (SEG_BLOCK, 2));
+        assert_eq!(dir.get(3), None);
+        assert_eq!(dir.get(SEG_BLOCK), Some(&(SEG_BLOCK as u32)));
+        assert_eq!(dir.set(3, None), None, "clearing a dropped slot is a no-op");
+
+        // The last block stays even when empty: its later slots are not
+        // issued yet.
+        for slot in SEG_BLOCK..3 * SEG_BLOCK {
+            dir.set(slot, None);
+        }
+        dir.trim_front();
+        assert_eq!((dir.first, dir.blocks.len()), (2 * SEG_BLOCK, 1));
+        assert_eq!(dir.rows().count(), 0);
+        dir.set(3 * SEG_BLOCK + 1, Some(7));
+        assert_eq!(dir.get(3 * SEG_BLOCK + 1), Some(&7));
+        assert_eq!(dir.blocks.len(), 2);
     }
 }
