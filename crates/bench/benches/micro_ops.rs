@@ -111,20 +111,12 @@ fn bench_ops(c: &mut Criterion) {
     let mut sp_group = c.benchmark_group("shortest_path");
     let g = &city.graph;
     let n = g.node_count() as u32;
-    sp_group.bench_function("dijkstra_cross_city", |b| {
+    sp_group.bench_function("path_cross_city", |b| {
         let sp = ShortestPaths::driving(g);
         let mut i = 0u32;
         b.iter(|| {
             i = i.wrapping_add(97);
             std::hint::black_box(sp.cost(NodeId(i % n), NodeId((i * 31 + 7) % n)))
-        })
-    });
-    sp_group.bench_function("astar_cross_city", |b| {
-        let sp = ShortestPaths::driving(g);
-        let mut i = 0u32;
-        b.iter(|| {
-            i = i.wrapping_add(97);
-            std::hint::black_box(sp.astar(NodeId(i % n), NodeId((i * 31 + 7) % n)).map(|p| p.dist_m))
         })
     });
     sp_group.finish();

@@ -12,12 +12,13 @@
 //!   implementation detail, invisible in results (this is what keeps
 //!   the paper's approximation guarantee intact, DESIGN.md §5e).
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use xar_core::{
-    EngineConfig, RideMatch, RideOffer, RideRequest, ShardedXarEngine, XarEngine,
+    EngineConfig, RideId, RideMatch, RideOffer, RideRequest, ShardedXarEngine, XarEngine,
 };
 use xar_discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xar_roadnet::{sample_pois, CityConfig, NodeId, PoiConfig, RoadGraph};
@@ -133,86 +134,113 @@ fn hammer_never_overbooks_and_loses_no_updates() {
 /// 8 threads of create/book under concurrent expiry churn: ride
 /// accounting must conserve (creates − retirements = live rides) and
 /// the published snapshots must never serve an expired ride — once a
-/// `track_all(now)` has returned (retirement + republish complete), no
-/// later search may produce a match whose pickup ETA lies behind
-/// `now`. A shared watermark, advanced only *after* `track_all`
-/// returns, turns that into a per-match assertion; the slack absorbs
+/// `track_all(now)` that saw a ride has returned (retirement + republish
+/// complete), no later search may produce a match on it whose pickup
+/// ETA lies behind `now`. A shared watermark, advanced only *after*
+/// `track_all` returns, is each search's floor; the slack absorbs
 /// entries inside a not-yet-crossed cluster (bounded by the cluster
-/// traversal time, far below the 600 s granularity of the churn).
+/// traversal time, far below the 450 s period of the churn).
+///
+/// A ride only has to honour the watermarks of sweeps that began after
+/// it was created. Its creator departs it `HEADROOM_S` ahead of the
+/// watermark it read first, but a creator preempted across more than
+/// one churn period can still insert the ride behind the newest
+/// watermark, legitimately live. So each creation records that
+/// watermark and the sweep under way once the create returned; a
+/// match is held to the search's watermark when a later sweep installed
+/// it, and otherwise to the lower of that and the ride's departure
+/// floor. Matches are checked after the storm, when every creation's
+/// record is in.
 #[test]
 fn booking_storm_with_expiry_churn_conserves_rides() {
     const THREADS: u32 = 8;
     const ROUNDS: u32 = 50;
     const SLACK_S: f64 = 300.0;
+    const HEADROOM_S: f64 = 900.0;
     let eng = ShardedXarEngine::new(Arc::clone(region()), EngineConfig::default(), 4);
-    let created = AtomicU64::new(0);
     let retired = AtomicU64::new(0);
     let booked = AtomicU64::new(0);
-    // Highest time the engine is *known* tracked to (f64 seconds as
-    // bits; times are non-negative so the bit pattern orders like the
-    // float).
+    // Times as f64 bits (non-negative, so the bit patterns order like
+    // the floats). `watermark`: highest time the engine is *known*
+    // tracked to, stored after `track_all` returns. `sweeping`: time of
+    // the latest `track_all` begun, stored before it starts; a sweep
+    // that begins after a create returned sees the created ride.
     let watermark = AtomicU64::new(0f64.to_bits());
+    let sweeping = AtomicU64::new(0f64.to_bits());
+    let load = |a: &AtomicU64| f64::from_bits(a.load(Ordering::SeqCst));
 
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let eng = eng.clone();
-            let (created, retired, booked, watermark) = (&created, &retired, &booked, &watermark);
-            scope.spawn(move || {
-                for j in 0..ROUNDS {
-                    let seed = t * 10_000 + j;
-                    // Departures advance with the rounds AND stay ahead
-                    // of the current watermark: a thread lagging behind
-                    // the churn must not create a ride that departs in
-                    // the already-tracked past — such a ride is
-                    // legitimately live, yet its pickup ETAs would sit
-                    // behind the floor the assertion below checks. The
-                    // +900 s headroom exceeds one churn period (450 s),
-                    // so a create racing an in-flight `track_all` still
-                    // departs ahead of the watermark that scan installs.
-                    let floor_now = f64::from_bits(watermark.load(Ordering::Acquire));
-                    let depart = (8.0 * 3600.0 + f64::from(j) * 90.0)
-                        .max(floor_now + 900.0)
-                        + f64::from(t) * 7.0;
-                    let g = graph();
-                    let n = g.node_count() as u32;
-                    let o = RideOffer::simple(
-                        g.point(NodeId((seed * 97) % n)),
-                        g.point(NodeId((seed * 181 + n / 2) % n)),
-                        depart,
-                        2,
-                        3_500.0,
-                    );
-                    if eng.create_ride(&o).is_ok() {
-                        created.fetch_add(1, Ordering::Relaxed);
-                    }
+    // Per thread: (ride, watermark read before departing it, sweep
+    // under way after creating it) and (ride, pickup ETA, the search's
+    // watermark) for every match served.
+    let per_thread = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let eng = eng.clone();
+                let (retired, booked, watermark, sweeping) = (&retired, &booked, &watermark, &sweeping);
+                scope.spawn(move || {
+                    let (mut creations, mut served) = (Vec::new(), Vec::new());
+                    for j in 0..ROUNDS {
+                        let seed = t * 10_000 + j;
+                        // Departures advance with the rounds AND stay
+                        // ahead of the current watermark, so a ride
+                        // created during an in-flight sweep departs
+                        // ahead of the watermark that sweep installs.
+                        let floor_now = load(watermark);
+                        let depart = (8.0 * 3600.0 + f64::from(j) * 90.0).max(floor_now + HEADROOM_S)
+                            + f64::from(t) * 7.0;
+                        let g = graph();
+                        let n = g.node_count() as u32;
+                        let o = RideOffer::simple(
+                            g.point(NodeId((seed * 97) % n)),
+                            g.point(NodeId((seed * 181 + n / 2) % n)),
+                            depart,
+                            2,
+                            3_500.0,
+                        );
+                        if let Ok(id) = eng.create_ride(&o) {
+                            creations.push((id, floor_now, load(sweeping)));
+                        }
 
-                    let floor = f64::from_bits(watermark.load(Ordering::Acquire));
-                    if let Ok(ms) = eng.search(&request(seed), 4) {
-                        for m in &ms {
-                            assert!(
-                                m.eta_pickup_s >= floor - SLACK_S,
-                                "expired ride served: pickup ETA {:.0} s behind the \
-                                 {floor:.0} s tracking watermark",
-                                m.eta_pickup_s,
-                            );
-                            if eng.book(m).is_ok() {
-                                booked.fetch_add(1, Ordering::Relaxed);
-                                break;
+                        let floor = load(watermark);
+                        if let Ok(ms) = eng.search(&request(seed), 4) {
+                            for m in &ms {
+                                served.push((m.ride, m.eta_pickup_s, floor));
+                                if eng.book(m).is_ok() {
+                                    booked.fetch_add(1, Ordering::Relaxed);
+                                    break;
+                                }
                             }
                         }
-                    }
 
-                    // One thread churns expiry; watermark moves only
-                    // after track_all has retired and republished.
-                    if t == 0 && j % 5 == 4 {
-                        let now = 8.0 * 3600.0 + f64::from(j) * 90.0;
-                        retired.fetch_add(eng.track_all(now) as u64, Ordering::Relaxed);
-                        watermark.fetch_max(now.to_bits(), Ordering::Release);
+                        // One thread churns expiry.
+                        if t == 0 && j % 5 == 4 {
+                            let now = 8.0 * 3600.0 + f64::from(j) * 90.0;
+                            sweeping.store(now.to_bits(), Ordering::SeqCst);
+                            retired.fetch_add(eng.track_all(now) as u64, Ordering::Relaxed);
+                            watermark.fetch_max(now.to_bits(), Ordering::SeqCst);
+                        }
                     }
-                }
-            });
-        }
+                    (creations, served)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("storm thread panicked")).collect::<Vec<_>>()
     });
+
+    let created: HashMap<RideId, (f64, f64)> =
+        per_thread.iter().flat_map(|(c, _)| c.iter().map(|&(id, read, sweep)| (id, (read, sweep)))).collect();
+    let mut checked = 0usize;
+    for &(ride, eta, watermark) in per_thread.iter().flat_map(|(_, s)| s) {
+        let (read, sweep) = created[&ride];
+        let floor = if watermark > sweep { watermark } else { watermark.min(read + HEADROOM_S) };
+        assert!(
+            eta >= floor - SLACK_S,
+            "expired ride served: {ride:?} pickup ETA {eta:.0} s behind its {floor:.0} s floor \
+             (search watermark {watermark:.0} s, creator read {read:.0} s, sweep {sweep:.0} s)",
+        );
+        checked += 1;
+    }
+    assert!(checked > 0, "storm must serve matches");
 
     // Conservation: every created ride is either still live or was
     // retired by the churn — none lost, none duplicated.
@@ -220,10 +248,10 @@ fn booking_storm_with_expiry_churn_conserves_rides() {
     let mut live = 0u64;
     eng.for_each_ride(|_| live += 1);
     assert_eq!(
-        created.load(Ordering::Relaxed),
+        created.len() as u64,
         final_retired + live,
         "ride conservation broke: {} created, {} retired, {} live",
-        created.load(Ordering::Relaxed),
+        created.len(),
         final_retired,
         live
     );

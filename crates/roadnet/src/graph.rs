@@ -7,7 +7,9 @@
 //! both the forward and the reverse adjacency, so that forward,
 //! reverse and undirected traversals are all cache-friendly.
 
-use xar_geo::GeoPoint;
+use xar_geo::{GeoPoint, EARTH_RADIUS_M};
+
+use crate::shortest_path::CostMetric;
 
 /// Index of a node (way-point) in the road graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -170,6 +172,26 @@ pub struct RoadGraph {
     in_offsets: Vec<u32>,
     /// Edge ids sorted by head node.
     in_edges: Vec<EdgeId>,
+    /// Earth-centred Cartesian position of each node, in metres, on the
+    /// sphere [`GeoPoint::haversine_m`] measures on.
+    xyz: Vec<[f64; 3]>,
+    /// Per [`CostMetric`] (distance, time): the largest factor `k` with
+    /// `k · chord(e) ≤ cost(e)` for every edge `e`.
+    cost_per_chord: [f64; 2],
+}
+
+/// Straight-line distance between two Earth-centred positions, in
+/// metres. It never exceeds the great-circle distance between them.
+#[inline]
+pub(crate) fn chord_m(a: [f64; 3], b: [f64; 3]) -> f64 {
+    let (dx, dy, dz) = (a[0] - b[0], a[1] - b[1], a[2] - b[2]);
+    (dx * dx + dy * dy + dz * dz).sqrt()
+}
+
+fn earth_centred(p: GeoPoint) -> [f64; 3] {
+    let (lat, lon) = (p.lat.to_radians(), p.lon.to_radians());
+    let r = EARTH_RADIUS_M * lat.cos();
+    [r * lon.cos(), r * lon.sin(), EARTH_RADIUS_M * lat.sin()]
 }
 
 impl RoadGraph {
@@ -196,7 +218,29 @@ impl RoadGraph {
             in_edges[in_cursor[e.to.index()] as usize] = id;
             in_cursor[e.to.index()] += 1;
         }
-        Self { nodes, edges, out_offsets: out_counts, out_edges, in_offsets: in_counts, in_edges }
+        let xyz: Vec<[f64; 3]> = nodes.iter().map(|n| earth_centred(n.point)).collect();
+        // The chord is a metric, so `k · chord` is a consistent A*
+        // heuristic for any `k` no edge beats, whatever the edge
+        // lengths and speeds. The factor absorbs rounding in `chord_m`.
+        let mut cost_per_chord = [f64::INFINITY; 2];
+        for e in &edges {
+            let chord = chord_m(xyz[e.from.index()], xyz[e.to.index()]);
+            if chord > 0.0 {
+                cost_per_chord[0] = cost_per_chord[0].min(e.len_m / chord);
+                cost_per_chord[1] = cost_per_chord[1].min(e.travel_time_s() / chord);
+            }
+        }
+        let cost_per_chord = cost_per_chord.map(|k| if k.is_finite() { k * (1.0 - 1e-9) } else { 0.0 });
+        Self {
+            nodes,
+            edges,
+            out_offsets: out_counts,
+            out_edges,
+            in_offsets: in_counts,
+            in_edges,
+            xyz,
+            cost_per_chord,
+        }
     }
 
     /// Number of nodes.
@@ -225,6 +269,23 @@ impl RoadGraph {
     #[inline]
     pub fn point(&self, id: NodeId) -> GeoPoint {
         self.nodes[id.index()].point
+    }
+
+    /// Earth-centred Cartesian position of node `id`, in metres.
+    #[inline]
+    pub(crate) fn xyz(&self, id: NodeId) -> [f64; 3] {
+        self.xyz[id.index()]
+    }
+
+    /// The largest `k` such that `k · chord_m(from, to)` is at most the
+    /// edge's cost under `metric` for every edge; 0 for a graph with no
+    /// edge of positive chord.
+    #[inline]
+    pub(crate) fn cost_per_chord(&self, metric: CostMetric) -> f64 {
+        match metric {
+            CostMetric::Distance => self.cost_per_chord[0],
+            CostMetric::Time => self.cost_per_chord[1],
+        }
     }
 
     /// The edge with id `id`.

@@ -11,8 +11,9 @@
 //!   waypoints", §VI fn. 2).
 //! * [`spatial`] — grid-bucketed nearest-node lookup for snapping
 //!   point locations onto the network.
-//! * [`shortest_path`] — Dijkstra / A* / bounded and multi-target
-//!   variants, over driving time, driving distance, or undirected
+//! * [`shortest_path`] — one exact search core: goal-directed A* for
+//!   point-to-point paths, Dijkstra for bounded and multi-target
+//!   queries, over driving time, driving distance, or undirected
 //!   walking distance (walking ignores one-way restrictions, which is
 //!   why the paper keeps separate walking and driving distances).
 //! * [`route`] — a concrete route: node sequence + cumulative
@@ -29,7 +30,12 @@
 //! let graph = CityConfig::test_city(7).generate();
 //! let sp = ShortestPaths::new(&graph, CostMetric::Distance, Direction::Forward);
 //! let n = graph.node_count() as u32;
+//! // `path` is A*, goal-directed by the straight-line distance to the
+//! // target; it returns the same cost as a full search would.
 //! let path = sp.path(NodeId(0), NodeId(n - 1)).expect("city is strongly connected");
+//! let all = sp.one_to_all(NodeId(0));
+//! assert!((path.dist_m - all[(n - 1) as usize]).abs() < 1e-6);
+//! assert_eq!(sp.cost(NodeId(0), NodeId(n - 1)), Some(path.dist_m));
 //! // A road path is never shorter than the great-circle distance.
 //! let crow = graph.point(NodeId(0)).haversine_m(&graph.point(NodeId(n - 1)));
 //! assert!(path.dist_m >= crow - 1.0);

@@ -1,4 +1,4 @@
-//! Shortest-path engines over the road graph.
+//! Exact shortest paths over the road graph.
 //!
 //! XAR deliberately performs **no** shortest-path computation during
 //! ride search (§VII); shortest paths are needed only (a) at
@@ -17,11 +17,26 @@
 //!   restrictions. This is why "the two \[driving and walking
 //!   distances\] can sometimes be very different, especially in regions
 //!   with narrow streets, or one-way etc." (§IV).
+//!
+//! Every query runs one search core over a per-thread workspace whose
+//! labels are stamped with a query generation, so starting a query
+//! costs O(1), not O(nodes). Point-to-point queries
+//! ([`ShortestPaths::path`], [`ShortestPaths::cost`]) are A*: the
+//! heuristic is `k · chord(v, dst)`, the straight-line distance through
+//! the Earth between node positions times the largest `k` no edge of the
+//! graph beats (`k · chord(e) ≤ cost(e)`, derived per metric when the
+//! graph is built). The chord obeys the triangle inequality, so the
+//! heuristic is consistent for any edge lengths and speeds — including
+//! lengths shorter than the crow flies — and the search still stops
+//! exactly when it settles `dst`. The bounded, multi-target and
+//! one-to-all queries run the same core with no goal, i.e. Dijkstra.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::ControlFlow;
 
-use crate::graph::{Edge, NodeId, RoadGraph};
+use crate::graph::{chord_m, Edge, NodeId, RoadGraph};
 
 /// Cached handles into the process-wide metric registry
 /// ([`xar_obs::global`]): one latency histogram per traversal entry
@@ -43,7 +58,6 @@ mod sp_metrics {
     }
 
     cached!(path_ns, "roadnet.sp_path_ns");
-    cached!(astar_ns, "roadnet.sp_astar_ns");
     cached!(bounded_ns, "roadnet.sp_bounded_ns");
     cached!(targets_ns, "roadnet.sp_targets_ns");
     cached!(one_to_all_ns, "roadnet.sp_one_to_all_ns");
@@ -84,16 +98,18 @@ pub struct PathResult {
     pub time_s: f64,
 }
 
-/// Min-heap entry ordered by `cost` (then node id, for determinism).
+/// Min-heap entry ordered by `key` (then node id, for determinism):
+/// the node's cost when pushed plus its heuristic, which is 0 without a
+/// goal.
 #[derive(Debug, Clone, Copy)]
 struct HeapEntry {
-    cost: f64,
+    key: f64,
     node: u32,
 }
 
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.cost == other.cost && self.node == other.node
+        self.key == other.key && self.node == other.node
     }
 }
 impl Eq for HeapEntry {}
@@ -101,8 +117,8 @@ impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse ordering: BinaryHeap is a max-heap.
         other
-            .cost
-            .total_cmp(&self.cost)
+            .key
+            .total_cmp(&self.key)
             .then_with(|| other.node.cmp(&self.node))
     }
 }
@@ -110,6 +126,95 @@ impl PartialOrd for HeapEntry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
+}
+
+/// A node's search state: `dist` and `prev` hold for the current query
+/// only when `stamp` equals the workspace's generation; otherwise the
+/// node is unreached. Interleaved, so one cache line serves a
+/// relaxation's read and write.
+#[derive(Debug, Clone, Copy)]
+struct Label {
+    dist: f64,
+    prev: u32,
+    stamp: u32,
+}
+
+const UNREACHED: Label = Label { dist: f64::INFINITY, prev: u32::MAX, stamp: 0 };
+
+/// The search state of one query, reused by the next: starting a query
+/// bumps the generation instead of clearing O(nodes) arrays.
+#[derive(Debug, Default)]
+struct Search {
+    labels: Vec<Label>,
+    generation: u32,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl Search {
+    #[inline]
+    fn dist(&self, v: usize) -> f64 {
+        let l = self.labels[v];
+        if l.stamp == self.generation {
+            l.dist
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, v: usize, dist: f64, prev: u32) {
+        self.labels[v] = Label { dist, prev, stamp: self.generation };
+    }
+}
+
+/// A thread's routing workspace: the search state plus the stamped
+/// "wanted" marks of [`ShortestPaths::to_targets`] (a node is a pending
+/// target when its mark equals the generation).
+#[derive(Debug, Default)]
+struct Workspace {
+    search: Search,
+    wanted: Vec<u32>,
+}
+
+impl Workspace {
+    /// Start a query over a graph of `n` nodes: every node reads as
+    /// unreached and unwanted, at O(1) cost unless `n` changed or the
+    /// generation wrapped.
+    fn begin(&mut self, n: usize) {
+        let s = &mut self.search;
+        if s.labels.len() != n {
+            s.labels.resize(n, UNREACHED);
+            self.wanted.resize(n, 0);
+        }
+        s.generation = s.generation.wrapping_add(1);
+        if s.generation == 0 {
+            s.labels.fill(UNREACHED);
+            self.wanted.fill(0);
+            s.generation = 1;
+        }
+        s.heap.clear();
+    }
+}
+
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
+}
+
+/// Run `f` on this thread's workspace, begun for a query over `n`
+/// nodes. Not re-entrant: `f` must not start another query.
+fn with_workspace<R>(n: usize, f: impl FnOnce(&mut Workspace) -> R) -> R {
+    WORKSPACE.with(|ws| {
+        let mut ws = ws.borrow_mut();
+        ws.begin(n);
+        f(&mut ws)
+    })
+}
+
+/// Test hook: set this thread's generation counter, so a test can
+/// force the wrap.
+#[cfg(test)]
+fn set_generation(generation: u32) {
+    WORKSPACE.with(|ws| ws.borrow_mut().search.generation = generation);
 }
 
 /// A shortest-path engine bound to a graph, a cost metric, and a
@@ -181,83 +286,82 @@ impl<'g> ShortestPaths<'g> {
         }
     }
 
-    /// Dijkstra from `src` to `dst` with early termination; `None` if
-    /// unreachable.
-    pub fn path(&self, src: NodeId, dst: NodeId) -> Option<PathResult> {
-        let _span = xar_obs::SpanTimer::new(sp_metrics::path_ns());
-        let n = self.graph.node_count();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev = vec![u32::MAX; n];
-        let mut heap = BinaryHeap::new();
-        dist[src.index()] = 0.0;
-        heap.push(HeapEntry { cost: 0.0, node: src.0 });
-        while let Some(HeapEntry { cost, node }) = heap.pop() {
-            if node == dst.0 {
-                return Some(self.reconstruct(src, dst, &prev));
-            }
-            if cost > dist[node as usize] {
+    /// The one search loop every query runs: best-first from `src`,
+    /// relaxing only to costs `≤ max_cost`, ordered by cost plus
+    /// `heuristic` (A*; Dijkstra when it is 0). `settle(node, cost)`
+    /// sees each node as it leaves the heap and stops the search by
+    /// returning `Break`. A node whose cost later improves is reopened,
+    /// so a heuristic that is only admissible still ends exact.
+    fn run(
+        &self,
+        s: &mut Search,
+        src: NodeId,
+        max_cost: f64,
+        heuristic: impl Fn(NodeId) -> f64,
+        mut settle: impl FnMut(NodeId, f64) -> ControlFlow<()>,
+    ) {
+        s.set(src.index(), 0.0, u32::MAX);
+        s.heap.push(HeapEntry { key: heuristic(src), node: src.0 });
+        while let Some(HeapEntry { key, node }) = s.heap.pop() {
+            // The entry pushed with the node's current cost has exactly
+            // this key; a larger one is stale.
+            let cost = s.dist(node as usize);
+            if key > cost + heuristic(NodeId(node)) {
                 continue;
+            }
+            if settle(NodeId(node), cost).is_break() {
+                return;
             }
             self.for_each_neighbor(NodeId(node), |next, w| {
                 let nd = cost + w;
-                if nd < dist[next.index()] {
-                    dist[next.index()] = nd;
-                    prev[next.index()] = node;
-                    heap.push(HeapEntry { cost: nd, node: next.0 });
+                if nd <= max_cost && nd < s.dist(next.index()) {
+                    s.set(next.index(), nd, node);
+                    s.heap.push(HeapEntry { key: nd + heuristic(next), node: next.0 });
                 }
             });
         }
-        None
     }
 
-    /// A* from `src` to `dst` using the great-circle lower bound as the
-    /// heuristic (admissible for both metrics: road length ≥ crow-flies
-    /// distance, travel time ≥ crow-flies distance / fastest speed).
-    pub fn astar(&self, src: NodeId, dst: NodeId) -> Option<PathResult> {
-        let _span = xar_obs::SpanTimer::new(sp_metrics::astar_ns());
-        let n = self.graph.node_count();
-        let goal = self.graph.point(dst);
-        // Fastest speed in the network bounds the time heuristic.
-        let speed_bound = crate::graph::RoadClass::Highway.speed_mps();
-        let h = |node: NodeId| -> f64 {
-            let d = self.graph.point(node).haversine_m(&goal);
-            match self.metric {
-                CostMetric::Distance => d,
-                CostMetric::Time => d / speed_bound,
-            }
-        };
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev = vec![u32::MAX; n];
-        let mut heap = BinaryHeap::new();
-        dist[src.index()] = 0.0;
-        heap.push(HeapEntry { cost: h(src), node: src.0 });
-        while let Some(HeapEntry { cost: f, node }) = heap.pop() {
-            if node == dst.0 {
-                return Some(self.reconstruct(src, dst, &prev));
-            }
-            let g_node = dist[node as usize];
-            if f > g_node + h(NodeId(node)) + 1e-9 {
-                continue; // stale entry
-            }
-            self.for_each_neighbor(NodeId(node), |next, w| {
-                let nd = g_node + w;
-                if nd < dist[next.index()] {
-                    dist[next.index()] = nd;
-                    prev[next.index()] = node;
-                    heap.push(HeapEntry { cost: nd + h(next), node: next.0 });
+    /// A* from `src` to `dst`: the cost, with the predecessors of the
+    /// path left in `s`. The heuristic `k · chord(v, dst)` is
+    /// consistent because `k` bounds every edge's cost per metre of
+    /// chord ([`RoadGraph`] derives it) and the chord obeys the
+    /// triangle inequality, so popping `dst` ends the search exactly.
+    fn towards(&self, s: &mut Search, src: NodeId, dst: NodeId) -> Option<f64> {
+        let k = self.graph.cost_per_chord(self.metric);
+        let goal = self.graph.xyz(dst);
+        let mut found = None;
+        self.run(
+            s,
+            src,
+            f64::INFINITY,
+            |v| k * chord_m(self.graph.xyz(v), goal),
+            |v, cost| {
+                if v == dst {
+                    found = Some(cost);
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
                 }
-            });
-        }
-        None
+            },
+        );
+        found
+    }
+
+    /// Shortest path from `src` to `dst`; `None` if unreachable.
+    pub fn path(&self, src: NodeId, dst: NodeId) -> Option<PathResult> {
+        let _span = xar_obs::SpanTimer::new(sp_metrics::path_ns());
+        with_workspace(self.graph.node_count(), |ws| {
+            self.towards(&mut ws.search, src, dst)?;
+            Some(self.reconstruct(src, dst, &ws.search))
+        })
     }
 
     /// Cost (in the configured metric) from `src` to `dst`; `None` if
-    /// unreachable.
+    /// unreachable. Equals the cost of [`ShortestPaths::path`]'s path.
     pub fn cost(&self, src: NodeId, dst: NodeId) -> Option<f64> {
-        self.path(src, dst).map(|p| match self.metric {
-            CostMetric::Distance => p.dist_m,
-            CostMetric::Time => p.time_s,
-        })
+        let _span = xar_obs::SpanTimer::new(sp_metrics::path_ns());
+        with_workspace(self.graph.node_count(), |ws| self.towards(&mut ws.search, src, dst))
     }
 
     /// All nodes within `max_cost` of `src`, as `(node, cost)` pairs in
@@ -265,25 +369,13 @@ impl<'g> ShortestPaths<'g> {
     /// cost 0.
     pub fn bounded_from(&self, src: NodeId, max_cost: f64) -> Vec<(NodeId, f64)> {
         let _span = xar_obs::SpanTimer::new(sp_metrics::bounded_ns());
-        let n = self.graph.node_count();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut heap = BinaryHeap::new();
         let mut out = Vec::new();
-        dist[src.index()] = 0.0;
-        heap.push(HeapEntry { cost: 0.0, node: src.0 });
-        while let Some(HeapEntry { cost, node }) = heap.pop() {
-            if cost > dist[node as usize] {
-                continue;
-            }
-            out.push((NodeId(node), cost));
-            self.for_each_neighbor(NodeId(node), |next, w| {
-                let nd = cost + w;
-                if nd <= max_cost && nd < dist[next.index()] {
-                    dist[next.index()] = nd;
-                    heap.push(HeapEntry { cost: nd, node: next.0 });
-                }
+        with_workspace(self.graph.node_count(), |ws| {
+            self.run(&mut ws.search, src, max_cost, |_| 0.0, |v, cost| {
+                out.push((v, cost));
+                ControlFlow::Continue(())
             });
-        }
+        });
         out
     }
 
@@ -297,45 +389,34 @@ impl<'g> ShortestPaths<'g> {
         max_cost: f64,
     ) -> Vec<Option<f64>> {
         let _span = xar_obs::SpanTimer::new(sp_metrics::targets_ns());
-        let n = self.graph.node_count();
-        let mut want = vec![false; n];
-        let mut remaining = 0usize;
-        for t in targets {
-            if !want[t.index()] {
-                want[t.index()] = true;
-                remaining += 1;
-            }
-        }
-        let mut dist = vec![f64::INFINITY; n];
-        let mut heap = BinaryHeap::new();
-        dist[src.index()] = 0.0;
-        heap.push(HeapEntry { cost: 0.0, node: src.0 });
-        while let Some(HeapEntry { cost, node }) = heap.pop() {
-            if cost > dist[node as usize] {
-                continue;
-            }
-            if want[node as usize] {
-                want[node as usize] = false;
-                remaining -= 1;
-                if remaining == 0 {
-                    break;
+        with_workspace(self.graph.node_count(), |ws| {
+            let Workspace { search, wanted } = ws;
+            let generation = search.generation;
+            let mut remaining = 0usize;
+            for t in targets {
+                if wanted[t.index()] != generation {
+                    wanted[t.index()] = generation;
+                    remaining += 1;
                 }
             }
-            self.for_each_neighbor(NodeId(node), |next, w| {
-                let nd = cost + w;
-                if nd <= max_cost && nd < dist[next.index()] {
-                    dist[next.index()] = nd;
-                    heap.push(HeapEntry { cost: nd, node: next.0 });
+            self.run(search, src, max_cost, |_| 0.0, |v, _| {
+                if wanted[v.index()] == generation {
+                    wanted[v.index()] = 0;
+                    remaining -= 1;
+                    if remaining == 0 {
+                        return ControlFlow::Break(());
+                    }
                 }
+                ControlFlow::Continue(())
             });
-        }
-        targets
-            .iter()
-            .map(|t| {
-                let d = dist[t.index()];
-                (d <= max_cost).then_some(d)
-            })
-            .collect()
+            targets
+                .iter()
+                .map(|t| {
+                    let d = search.dist(t.index());
+                    (d <= max_cost).then_some(d)
+                })
+                .collect()
+        })
     }
 
     /// Full single-source Dijkstra: cost to every node (`INFINITY` when
@@ -343,32 +424,19 @@ impl<'g> ShortestPaths<'g> {
     pub fn one_to_all(&self, src: NodeId) -> Vec<f64> {
         let _span = xar_obs::SpanTimer::new(sp_metrics::one_to_all_ns());
         let n = self.graph.node_count();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut heap = BinaryHeap::new();
-        dist[src.index()] = 0.0;
-        heap.push(HeapEntry { cost: 0.0, node: src.0 });
-        while let Some(HeapEntry { cost, node }) = heap.pop() {
-            if cost > dist[node as usize] {
-                continue;
-            }
-            self.for_each_neighbor(NodeId(node), |next, w| {
-                let nd = cost + w;
-                if nd < dist[next.index()] {
-                    dist[next.index()] = nd;
-                    heap.push(HeapEntry { cost: nd, node: next.0 });
-                }
-            });
-        }
-        dist
+        with_workspace(n, |ws| {
+            self.run(&mut ws.search, src, f64::INFINITY, |_| 0.0, |_, _| ControlFlow::Continue(()));
+            (0..n).map(|v| ws.search.dist(v)).collect()
+        })
     }
 
-    /// Rebuild the node path from the predecessor array, accumulating
-    /// both distance and time.
-    fn reconstruct(&self, src: NodeId, dst: NodeId, prev: &[u32]) -> PathResult {
+    /// Rebuild the node path from the search's predecessors,
+    /// accumulating both distance and time.
+    fn reconstruct(&self, src: NodeId, dst: NodeId, s: &Search) -> PathResult {
         let mut nodes = vec![dst];
         let mut cur = dst;
         while cur != src {
-            let p = NodeId(prev[cur.index()]);
+            let p = NodeId(s.labels[cur.index()].prev);
             nodes.push(p);
             cur = p;
         }
@@ -498,25 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn astar_agrees_with_dijkstra() {
-        let g = lattice();
-        for metric in [CostMetric::Distance, CostMetric::Time] {
-            let sp = ShortestPaths::new(&g, metric, Direction::Forward);
-            for src in 0..16u32 {
-                for dst in 0..16u32 {
-                    let d = sp.path(NodeId(src), NodeId(dst)).map(|p| p.dist_m);
-                    let a = sp.astar(NodeId(src), NodeId(dst)).map(|p| p.dist_m);
-                    match (d, a) {
-                        (Some(d), Some(a)) => assert!((d - a).abs() < 1e-6, "{src}->{dst}: {d} vs {a}"),
-                        (None, None) => {}
-                        other => panic!("{src}->{dst}: disagreement {other:?}"),
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn unreachable_returns_none() {
         let mut b = RoadGraphBuilder::new();
         let a = b.add_node(GeoPoint::new(40.70, -74.00));
@@ -589,5 +638,50 @@ mod tests {
         for dst in 0..16u32 {
             assert_eq!(Some(all[dst as usize]), sp.cost(NodeId(0), NodeId(dst)));
         }
+    }
+
+    /// Runs `f` on a thread of its own, whose routing workspace is new.
+    fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        std::thread::scope(|s| s.spawn(f).join().expect("query thread panicked"))
+    }
+
+    /// Point-to-point paths and bounded multi-target costs between a
+    /// handful of nodes of `g`.
+    fn answers(g: &RoadGraph) -> (Vec<Option<PathResult>>, Vec<Vec<Option<f64>>>) {
+        let sp = ShortestPaths::driving(g);
+        let n = g.node_count() as u32;
+        let nodes: Vec<NodeId> = (0..6).map(|i| NodeId((i * 37 + 5) % n)).collect();
+        let paths = nodes.iter().flat_map(|&a| nodes.iter().map(move |&b| sp.path(a, b))).collect();
+        let costs = nodes.iter().map(|&a| sp.to_targets(a, &nodes, 2_500.0)).collect();
+        (paths, costs)
+    }
+
+    #[test]
+    fn alternating_graphs_of_different_sizes_share_one_workspace() {
+        let small = lattice();
+        let big = crate::CityConfig::manhattan(12, 12, 3).generate();
+        assert!(big.node_count() > 4 * small.node_count());
+        let want_small = on_fresh_thread(|| answers(&small));
+        let want_big = on_fresh_thread(|| answers(&big));
+        for _ in 0..3 {
+            assert_eq!(answers(&small), want_small);
+            assert_eq!(answers(&big), want_big);
+        }
+    }
+
+    #[test]
+    fn generation_wrap_clears_stale_labels() {
+        let g = lattice();
+        let sp = ShortestPaths::driving(&g);
+        let want = on_fresh_thread(|| sp.path(NodeId(0), NodeId(15)));
+        assert!(want.is_some());
+        set_generation(0);
+        // Generation 1 labels every node with its cost from node 15.
+        sp.one_to_all(NodeId(15));
+        // The next query wraps the counter and runs as generation 1
+        // again, so node 15's labels would read as current (node 15
+        // itself at cost 0) if the wrap did not clear them.
+        set_generation(u32::MAX);
+        assert_eq!(sp.path(NodeId(0), NodeId(15)), want);
     }
 }

@@ -1,12 +1,125 @@
 //! Property-based tests of the road-network substrate.
 
 use proptest::prelude::*;
-use xar_roadnet::{CityConfig, CostMetric, Direction, NodeId, RoadGraph, Route, ShortestPaths};
+use xar_geo::GeoPoint;
+use xar_roadnet::{
+    CityConfig, CostMetric, Direction, NodeId, RoadClass, RoadGraph, RoadGraphBuilder, Route,
+    ShortestPaths,
+};
 
 fn graph() -> &'static RoadGraph {
     use std::sync::OnceLock;
     static G: OnceLock<RoadGraph> = OnceLock::new();
     G.get_or_init(|| CityConfig::test_city(2718).generate())
+}
+
+/// The arcs a traversal may follow, as `(tail, head, cost)`.
+fn arcs(g: &RoadGraph, metric: CostMetric, direction: Direction) -> Vec<(usize, usize, f64)> {
+    let mut out = Vec::new();
+    for e in g.edges() {
+        let cost = match metric {
+            CostMetric::Distance => e.len_m,
+            CostMetric::Time => e.travel_time_s(),
+        };
+        let (from, to) = (e.from.index(), e.to.index());
+        if direction != Direction::Reverse {
+            out.push((from, to, cost));
+        }
+        if direction != Direction::Forward {
+            out.push((to, from, cost));
+        }
+    }
+    out
+}
+
+/// Reference costs from `src` by Bellman–Ford over `arcs`: shares no
+/// code with the search it checks.
+fn bellman_ford(n: usize, arcs: &[(usize, usize, f64)], src: usize) -> Vec<f64> {
+    let mut dist = vec![f64::INFINITY; n];
+    dist[src] = 0.0;
+    for _ in 0..n {
+        for &(a, b, c) in arcs {
+            if dist[a] + c < dist[b] {
+                dist[b] = dist[a] + c;
+            }
+        }
+    }
+    dist
+}
+
+/// A small random road graph: nodes scattered over about 2 km, edges of
+/// every road class, some with a length shorter than the crow flies.
+fn random_graph() -> impl Strategy<Value = RoadGraph> {
+    let nodes = proptest::collection::vec((0.0f64..0.02, 0.0f64..0.02), 2..10);
+    let edges = proptest::collection::vec((0usize..10, 0usize..10, 0usize..4, 0.2f64..3.0, any::<bool>()), 0..30);
+    (nodes, edges).prop_map(|(nodes, edges)| {
+        let points: Vec<GeoPoint> =
+            nodes.iter().map(|&(dlat, dlon)| GeoPoint::new(40.70 + dlat, -74.00 + dlon)).collect();
+        let mut b = RoadGraphBuilder::new();
+        for p in &points {
+            b.add_node(*p);
+        }
+        let classes = [RoadClass::Highway, RoadClass::Avenue, RoadClass::Street, RoadClass::Lane];
+        for (from, to, class, stretch, crow_length) in edges {
+            let (from, to) = (from % points.len(), to % points.len());
+            let crow = points[from].haversine_m(&points[to]);
+            // `None` takes the crow-flies length, which must be positive.
+            let len = (!crow_length || crow == 0.0).then(|| stretch * crow.max(1.0));
+            b.add_edge(NodeId(from as u32), NodeId(to as u32), classes[class], len);
+        }
+        b.build()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// `path` and `cost` agree with a Bellman–Ford reference on every
+    /// pair of nodes, reachable or not, in every direction and metric,
+    /// and `path` returns a real path of the reported cost.
+    #[test]
+    fn path_and_cost_equal_a_reference(g in random_graph()) {
+        let n = g.node_count();
+        for metric in [CostMetric::Distance, CostMetric::Time] {
+            for direction in [Direction::Forward, Direction::Reverse, Direction::Undirected] {
+                let arcs = arcs(&g, metric, direction);
+                let sp = ShortestPaths::new(&g, metric, direction);
+                for src in 0..n {
+                    let reference = bellman_ford(n, &arcs, src);
+                    for (dst, &want) in reference.iter().enumerate() {
+                        let ctx = format!("{metric:?} {direction:?} {src}->{dst}");
+                        let (a, b) = (NodeId(src as u32), NodeId(dst as u32));
+                        let (cost, path) = (sp.cost(a, b), sp.path(a, b));
+                        if want.is_infinite() {
+                            prop_assert!(cost.is_none() && path.is_none(), "{}: reached", ctx);
+                            continue;
+                        }
+                        let cost = cost.expect("reachable");
+                        prop_assert!((cost - want).abs() < 1e-6, "{}: {} vs {}", ctx, cost, want);
+                        let path = path.expect("reachable");
+                        prop_assert_eq!(path.nodes.first(), Some(&a));
+                        prop_assert_eq!(path.nodes.last(), Some(&b));
+                        let mut walked = 0.0;
+                        for w in path.nodes.windows(2) {
+                            let step = arcs
+                                .iter()
+                                .filter(|&&(x, y, _)| (x, y) == (w[0].index(), w[1].index()))
+                                .map(|&(_, _, c)| c)
+                                .fold(f64::INFINITY, f64::min);
+                            prop_assert!(step.is_finite(), "{}: {:?} is not an arc", ctx, w);
+                            walked += step;
+                        }
+                        let reported = match metric {
+                            CostMetric::Distance => path.dist_m,
+                            CostMetric::Time => path.time_s,
+                        };
+                        prop_assert!((walked - want).abs() < 1e-6, "{}: path costs {}", ctx, walked);
+                        prop_assert!((reported - want).abs() < 1e-6, "{}: reports {}", ctx, reported);
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {
@@ -76,23 +189,6 @@ proptest! {
             } else {
                 prop_assert!(!map.contains_key(&(node as u32)));
             }
-        }
-    }
-
-    /// A* equals Dijkstra on random pairs for both metrics.
-    #[test]
-    fn astar_equals_dijkstra(a in 0u32..380, b in 0u32..380, time_metric in any::<bool>()) {
-        let g = graph();
-        let n = g.node_count() as u32;
-        let (a, b) = (NodeId(a % n), NodeId(b % n));
-        let metric = if time_metric { CostMetric::Time } else { CostMetric::Distance };
-        let sp = ShortestPaths::new(g, metric, Direction::Forward);
-        let d = sp.path(a, b).map(|p| if time_metric { p.time_s } else { p.dist_m });
-        let astar = sp.astar(a, b).map(|p| if time_metric { p.time_s } else { p.dist_m });
-        match (d, astar) {
-            (Some(x), Some(y)) => prop_assert!((x - y).abs() < 1e-6, "{} vs {}", x, y),
-            (None, None) => {}
-            other => prop_assert!(false, "disagreement: {:?}", other),
         }
     }
 
