@@ -9,7 +9,7 @@ use crate::ride::RideId;
 /// variant, so `xar logs` can answer *why* any given request was not
 /// served. The set is deliberately closed — adding a variant without
 /// wiring an emitter fails the exhaustiveness tests in this module and
-/// in the dispatch pipeline.
+/// in the dispatch driver.
 ///
 /// [`Reason::Unknown`] exists only as a parse fallback for forward
 /// compatibility of the on-disk format; no runtime path emits it
@@ -37,16 +37,14 @@ pub enum Reason {
     /// A candidate ride had no free seats — at search time or when
     /// booking re-checked it.
     CapacityFull,
-    /// A batch-window commit failed re-validation: the ride state the
-    /// match was searched against no longer held at commit time (ride
-    /// retired or gone).
+    /// The booking failed because the ride state the match was searched
+    /// against no longer held at commit time: the ride was retired or
+    /// is gone (a concurrent writer got there first), or, for T-Share,
+    /// the taxi's schedule can no longer absorb the trip.
     StaleCommit,
     /// The ride had already driven past the pick-up point by the time
     /// booking was attempted.
     WindowExpired,
-    /// The batch assignment ejected this request: it had candidates,
-    /// but the joint assignment gave its rides to other requests.
-    SwapEjected,
     /// An end-point lies outside the serviceable discretized region
     /// (no walkable cluster within the rider's limit).
     NotServable,
@@ -61,7 +59,7 @@ pub enum Reason {
 impl Reason {
     /// Every variant, in a fixed order (used to pre-resolve labeled
     /// counters and to render stable histograms).
-    pub const ALL: [Reason; 13] = [
+    pub const ALL: [Reason; 12] = [
         Reason::Served,
         Reason::NoClusterCandidates,
         Reason::OrderingInfeasible,
@@ -70,7 +68,6 @@ impl Reason {
         Reason::CapacityFull,
         Reason::StaleCommit,
         Reason::WindowExpired,
-        Reason::SwapEjected,
         Reason::NotServable,
         Reason::NoRoute,
         Reason::InvalidRequest,
@@ -89,7 +86,6 @@ impl Reason {
             Reason::CapacityFull => "capacity_full",
             Reason::StaleCommit => "stale_commit",
             Reason::WindowExpired => "window_expired",
-            Reason::SwapEjected => "swap_ejected",
             Reason::NotServable => "not_servable",
             Reason::NoRoute => "no_route",
             Reason::InvalidRequest => "invalid_request",

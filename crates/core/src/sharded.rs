@@ -544,44 +544,15 @@ impl ShardedXarEngine {
     /// budget are re-validated against the live ride state under the
     /// owning shard's write lock, so the check and the booking are one
     /// atomic step — no other writer can invalidate the match between
-    /// them. This is the entry point for batch dispatchers, whose
-    /// matches come from a lock-free snapshot taken up to a window
-    /// earlier and may have gone stale behind the searcher's back.
+    /// them. Matches come from a lock-free snapshot, so under
+    /// concurrent writers they may have gone stale behind the
+    /// searcher's back.
     pub fn book_checked(&self, m: &RideMatch) -> Result<BookingOutcome, XarError> {
         let shard = self.shard_of_ride(m.ride);
         let (mut guard, _hold) = self.write_shard(shard);
         let res = guard.book_checked(m);
         self.publish_shard(shard, &mut guard);
         res
-    }
-
-    /// **Book** a whole batch window's matches with one write lock and
-    /// one snapshot publish per *touched shard* instead of one of each
-    /// per booking — the coalescing that makes `--dispatch batch:<ms>`
-    /// write cost proportional to the dirt, not to the booking count.
-    /// Matches are grouped by owning shard; within a shard they commit
-    /// in stream order, each individually re-validated
-    /// ([`XarEngine::validate_match`]) against the live state, so one
-    /// stale match never poisons the rest. Results come back
-    /// index-aligned with `ms`.
-    pub fn book_checked_batch(&self, ms: &[&RideMatch]) -> Vec<Result<BookingOutcome, XarError>> {
-        let n = self.inner.shards.len();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (pos, m) in ms.iter().enumerate() {
-            by_shard[self.shard_of_ride(m.ride)].push(pos);
-        }
-        let mut out: Vec<Option<Result<BookingOutcome, XarError>>> = (0..ms.len()).map(|_| None).collect();
-        for (shard, positions) in by_shard.into_iter().enumerate() {
-            if positions.is_empty() {
-                continue;
-            }
-            let (mut guard, _hold) = self.write_shard(shard);
-            for pos in positions {
-                out[pos] = Some(guard.book_checked(ms[pos]));
-            }
-            self.publish_shard(shard, &mut guard);
-        }
-        out.into_iter().map(|r| r.expect("every match was routed to a shard")).collect()
     }
 
     /// **Track** one ride: one write lock on its owning shard, plus a
@@ -1038,47 +1009,6 @@ mod tests {
         let next = ShardSnapshot::patch(&full, &eng, &clusters, &rides);
         assert!(next.mirrors(&eng));
         assert_eq!(next.ride_count(), ids.len() - 1);
-    }
-
-    #[test]
-    fn batch_booking_publishes_once_per_touched_shard() {
-        let region = region(31);
-        let graph = Arc::clone(region.graph());
-        let n = graph.node_count() as u32;
-        let eng = ShardedXarEngine::new(region, EngineConfig::default(), 4);
-        for i in 0..30 {
-            let _ = eng.create_ride(&offer(&graph, i));
-        }
-        let req = RideRequest {
-            source: graph.point(NodeId(n / 2)),
-            destination: graph.point(NodeId(n - 1)),
-            window_start_s: 7.5 * 3600.0,
-            window_end_s: 9.5 * 3600.0,
-            walk_limit_m: 800.0,
-        };
-        let matches = eng.search(&req, 6).unwrap();
-        assert!(matches.len() >= 2, "need a real batch");
-        let refs: Vec<&RideMatch> = matches.iter().collect();
-        let mut shards: Vec<usize> = refs.iter().map(|m| eng.shard_of_ride(m.ride)).collect();
-        shards.sort_unstable();
-        shards.dedup();
-        let m = eng.metrics();
-        let publishes_before = m.snapshot_publishes.get();
-        let results = eng.book_checked_batch(&refs);
-        assert_eq!(results.len(), refs.len(), "results index-aligned with input");
-        assert!(results[0].is_ok(), "first (freshest) match must book");
-        let published = m.snapshot_publishes.get() - publishes_before;
-        assert!(
-            published <= shards.len() as u64,
-            "batch of {} published {published} times for {} touched shards",
-            refs.len(),
-            shards.len()
-        );
-        assert!(eng.snapshots_consistent());
-        // Outcomes match what sequential book_checked would decide for
-        // the same stream: each Ok really decremented a seat.
-        let booked: u64 = results.iter().filter(|r| r.is_ok()).count() as u64;
-        assert_eq!(eng.stats().snapshot().bookings, booked);
     }
 
     #[test]

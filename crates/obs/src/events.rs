@@ -2,9 +2,9 @@
 //!
 //! Metrics aggregate and the flight recorder tail-samples; neither can
 //! answer *"why was request R rejected?"*. This module can: the
-//! dispatch pipeline emits exactly one [`EventRecord`] per simulated
+//! dispatch driver emits exactly one [`EventRecord`] per simulated
 //! request — outcome, typed rejection reason, search tier, candidate
-//! count, batch-window id and latencies — and the records flow into a
+//! count and latencies — and the records flow into a
 //! bounded global ring for the `/debug/events` tail and into segmented
 //! JSONL on disk (`xar simulate --events-out`) for the `xar logs`
 //! forensics CLI.
@@ -45,8 +45,10 @@ pub const DEFAULT_CAPACITY: usize = 65_536;
 /// truncated file can be recovered segment-by-segment.
 pub const SEGMENT_LEN: usize = 4_096;
 
-/// On-disk format version written to the `meta` line.
-pub const FORMAT_VERSION: u64 = 1;
+/// On-disk format version written to the `meta` line. Version 2
+/// dropped the per-event `window` field; the reader still accepts
+/// version 1 files and ignores that field.
+pub const FORMAT_VERSION: u64 = 2;
 
 /// Sentinel ride id for events that booked no ride.
 pub const NO_RIDE: u64 = u64::MAX;
@@ -72,9 +74,6 @@ pub struct EventRecord {
     pub candidates: u32,
     /// Feasible matches the (first) search returned.
     pub matches: u32,
-    /// Batch-window id the request was decided in (per-worker
-    /// sequence; the immediate dispatcher gives each request its own).
-    pub window: u64,
     /// Search calls performed for this request (re-searches included).
     pub searches: u32,
     /// Booking attempts that failed stale before the outcome.
@@ -109,7 +108,6 @@ impl EventRecord {
             tier: 0,
             candidates: 0,
             matches: 0,
-            window: 0,
             searches: 0,
             stale: 0,
             ride: NO_RIDE,
@@ -266,8 +264,6 @@ fn write_event_line(out: &mut String, e: &EventRecord) {
     w.number_u64(u64::from(e.candidates));
     w.key("matches");
     w.number_u64(u64::from(e.matches));
-    w.key("window");
-    w.number_u64(e.window);
     w.key("searches");
     w.number_u64(u64::from(e.searches));
     w.key("stale");
@@ -362,8 +358,6 @@ pub struct ParsedEvent {
     pub candidates: u64,
     /// Matches returned.
     pub matches: u64,
-    /// Batch-window id.
-    pub window: u64,
     /// Search calls performed.
     pub searches: u64,
     /// Stale booking attempts.
@@ -478,7 +472,6 @@ pub fn parse_jsonl(text: &str) -> Result<EventLog, String> {
                         tier: field_u64(v, "tier")?,
                         candidates: field_u64(v, "candidates")?,
                         matches: field_u64(v, "matches")?,
-                        window: field_u64(v, "window")?,
                         searches: field_u64(v, "searches")?,
                         stale: field_u64(v, "stale")?,
                         ride: v.get("ride").and_then(JsonValue::as_u64),
@@ -643,6 +636,19 @@ mod tests {
         assert!(parse_jsonl(missing_footer).is_err(), "no footer");
         let bad_kept = "{\"type\":\"meta\",\"version\":1}\n{\"type\":\"drops\",\"emitted\":3,\"dropped\":1,\"kept\":1}\n";
         assert!(parse_jsonl(bad_kept).is_err(), "kept mismatch");
+    }
+
+    #[test]
+    fn reads_version_1_files_with_a_window_field() {
+        let v1 = concat!(
+            "{\"type\":\"meta\",\"version\":1,\"segment_len\":4096}\n",
+            "{\"type\":\"event\",\"id\":10618,\"t_s\":0,\"outcome\":\"created\",",
+            "\"reason\":\"no_cluster_candidates\",\"tier\":2,\"candidates\":0,\"matches\":0,",
+            "\"window\":0,\"searches\":1,\"stale\":0,\"ride\":null,\"search_ns\":16842,",
+            "\"book_ns\":0,\"walk_m\":0,\"detour_m\":0,\"wait_s\":0}\n",
+            "{\"type\":\"drops\",\"emitted\":1,\"dropped\":0,\"kept\":1}\n",
+        );
+        assert_eq!(parse_jsonl(v1).expect("v1 parses").events[0].request_id, 10618);
     }
 
     #[test]

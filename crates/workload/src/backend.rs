@@ -62,15 +62,8 @@ impl RideBackend for XarBackend {
         book_result(self.engine.book(m))
     }
 
-    fn book_checked(&mut self, m: &RideMatch, _cfg: &SimConfig) -> BookResult {
-        book_result(self.engine.book_checked(m))
-    }
-
     fn describe(m: &RideMatch) -> Candidate {
-        // Score = combined rider walking: the paper's assignment
-        // objective ("the ride that incurs least walking ... is
-        // matched"), also the engine's primary sort key.
-        Candidate { ride: m.ride.0, score: m.walk_total_m(), detour_m: m.detour_est_m }
+        Candidate { ride: m.ride.0 }
     }
 
     fn create(&mut self, trip: &Trip, cfg: &SimConfig) -> Result<(), Reason> {
@@ -136,14 +129,8 @@ impl RideBackend for TShareBackend {
         }
     }
 
-    // `book_checked` stays the default (`book`): T-Share's `book`
-    // re-validates the taxi's schedule at insertion time, so there is
-    // no stale-candidate window to close.
-
     fn describe(m: &TShareMatch) -> Candidate {
-        // T-Share has no rider walking; the detour it inflicts on the
-        // taxi is the assignment cost.
-        Candidate { ride: m.taxi.0, score: m.detour_m, detour_m: m.detour_m }
+        Candidate { ride: m.taxi.0 }
     }
 
     fn create(&mut self, trip: &Trip, cfg: &SimConfig) -> Result<(), Reason> {
@@ -169,7 +156,7 @@ impl RideBackend for TShareBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::run_simulation;
+    use crate::dispatch::run_simulation;
     use crate::trips::{generate_trips, TripGenConfig};
     use std::sync::Arc;
     use xar_core::EngineConfig;

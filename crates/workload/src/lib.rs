@@ -41,15 +41,8 @@ pub mod sim;
 pub mod trips;
 
 pub use backend::{TShareBackend, XarBackend};
-pub use dispatch::{
-    run_dispatch, AssignOutcome, Assignment, BatchRequest, BatchWindow, Candidate,
-    DispatchPolicy, DispatchSpec, FirstMatch,
-};
-pub use parallel::{
-    run_parallel_dispatch, run_parallel_simulation, ConcurrentBackend, ShardedXarBackend,
-};
-pub use report::{
-    percentile, percentile_ns, Decision, DecisionOutcome, DispatchDeltas, SimReport,
-};
-pub use sim::{run_simulation, run_simulation_with, BookResult, RideBackend, SimConfig};
+pub use dispatch::{run_simulation, Candidate, DispatchSpec};
+pub use parallel::{run_parallel_dispatch, ConcurrentBackend, ShardedXarBackend};
+pub use report::{percentile, percentile_ns, Decision, DecisionOutcome, SimReport};
+pub use sim::{BookResult, RideBackend, SimConfig};
 pub use trips::{generate_trips, Trip, TripGenConfig};

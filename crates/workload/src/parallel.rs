@@ -1,6 +1,6 @@
 //! Multi-threaded closed-loop simulation driver.
 //!
-//! The serial driver ([`crate::sim::run_simulation`]) replays trips
+//! The serial driver ([`crate::run_simulation`]) replays trips
 //! from one thread — fine for measuring algorithmic latencies, useless
 //! for measuring engine *scaling*. This module drives a shard-safe
 //! backend from `N` closed-loop worker threads:
@@ -32,7 +32,7 @@ use std::sync::Arc;
 use xar_core::{Reason, RideMatch, SearchExplain, ShardedXarEngine};
 use xar_obs::Registry;
 
-use crate::dispatch::{Candidate, DispatchSpec};
+use crate::dispatch::{run_simulation, Candidate, DispatchSpec};
 use crate::report::SimReport;
 use crate::sim::{offer_of, request_of, BookResult, RideBackend, SimConfig};
 use crate::trips::Trip;
@@ -56,22 +56,17 @@ pub trait ConcurrentBackend: Sync {
     }
     /// Book a match; [`BookResult::Failed`] if it went stale.
     fn book(&self, m: &Self::Match, cfg: &SimConfig) -> BookResult;
-    /// Book after re-validating feasibility against the live engine —
-    /// see [`RideBackend::book_checked`]. Defaults to plain `book`.
+    /// Book after re-validating the match's seats and detour budget
+    /// against the live engine. The driver only calls `book`; this
+    /// stays because the benchmark crate's backend implements it and
+    /// calls [`ShardedXarBackend`]'s. Defaults to plain `book`.
     fn book_checked(&self, m: &Self::Match, cfg: &SimConfig) -> BookResult {
         self.book(m, cfg)
     }
-    /// Commit a batch window's picked matches at once — see
-    /// [`RideBackend::book_checked_batch`]. Defaults to the sequential
-    /// loop; the sharded engine overrides it to publish once per
-    /// touched shard.
-    fn book_checked_batch(&self, ms: &[&Self::Match], cfg: &SimConfig) -> Vec<BookResult> {
-        ms.iter().map(|m| self.book_checked(m, cfg)).collect()
-    }
-    /// Reduce a match to its assignment edge — see
+    /// Reduce a match to the ride it books — see
     /// [`RideBackend::describe`].
     fn describe(_m: &Self::Match) -> Candidate {
-        Candidate { ride: 0, score: 0.0, detour_m: 0.0 }
+        Candidate { ride: 0 }
     }
     /// Offer `trip` as a new ride; on failure, the typed [`Reason`]
     /// the request becomes unservable with.
@@ -90,9 +85,9 @@ pub trait ConcurrentBackend: Sync {
 
 /// One worker thread's view of a shared [`ConcurrentBackend`],
 /// adapting it to the `&mut self` [`RideBackend`] interface the
-/// dispatch driver runs against. Carries the run's shared registry so
-/// every worker records `sim.*` / `dispatch.*` series into the same
-/// snapshot even when the backend keeps none of its own.
+/// driver runs against. Carries the run's shared registry so every
+/// worker records its `sim.*` series into the same snapshot even when
+/// the backend keeps none of its own.
 struct WorkerBackend<'a, B: ConcurrentBackend> {
     inner: &'a B,
     registry: Arc<Registry>,
@@ -109,12 +104,6 @@ impl<B: ConcurrentBackend> RideBackend for WorkerBackend<'_, B> {
     }
     fn book(&mut self, m: &B::Match, cfg: &SimConfig) -> BookResult {
         self.inner.book(m, cfg)
-    }
-    fn book_checked(&mut self, m: &B::Match, cfg: &SimConfig) -> BookResult {
-        self.inner.book_checked(m, cfg)
-    }
-    fn book_checked_batch(&mut self, ms: &[&B::Match], cfg: &SimConfig) -> Vec<BookResult> {
-        self.inner.book_checked_batch(ms, cfg)
     }
     fn describe(m: &B::Match) -> Candidate {
         B::describe(m)
@@ -175,16 +164,8 @@ impl ConcurrentBackend for ShardedXarBackend {
         crate::backend::book_result(self.engine.book_checked(m))
     }
 
-    fn book_checked_batch(&self, ms: &[&RideMatch], _cfg: &SimConfig) -> Vec<BookResult> {
-        self.engine
-            .book_checked_batch(ms)
-            .into_iter()
-            .map(crate::backend::book_result)
-            .collect()
-    }
-
     fn describe(m: &RideMatch) -> Candidate {
-        Candidate { ride: m.ride.0, score: m.walk_total_m(), detour_m: m.detour_est_m }
+        Candidate { ride: m.ride.0 }
     }
 
     fn create(&self, trip: &Trip, cfg: &SimConfig) -> Result<(), Reason> {
@@ -208,27 +189,15 @@ impl ConcurrentBackend for ShardedXarBackend {
 }
 
 /// Replay `trips` through `backend` from `threads` closed-loop workers
-/// (clamped to ≥ 1) and return the merged report plus per-thread
-/// protocol side effects. Thread `t` replays every `threads`-th trip
-/// starting at `t`; thread 0 additionally runs the tracking sweeps at
-/// `cfg.track_every_s` intervals of simulated time.
+/// (clamped to ≥ 1) and return the merged report. Thread `t` replays
+/// every `threads`-th trip starting at `t`; thread 0 additionally runs
+/// the tracking sweeps at `cfg.track_every_s` intervals of simulated
+/// time.
 ///
 /// With `threads == 1` this is the serial §X.A.2 protocol driven
-/// through the `&self` backend interface (modulo request tracing, which
-/// stays the serial driver's job).
-pub fn run_parallel_simulation<B: ConcurrentBackend>(
-    backend: &B,
-    trips: &[Trip],
-    cfg: &SimConfig,
-    threads: usize,
-) -> SimReport {
-    run_parallel_dispatch(backend, trips, cfg, threads, DispatchSpec::First)
-}
-
-/// [`run_parallel_simulation`] under an explicit dispatch policy: each
-/// worker runs its own policy instance (built from `spec`) over its
-/// private trip slice, so batch windows form per worker — the engine
-/// stays shared and every commit re-validates against it.
+/// through the `&self` backend interface. `spec` names the policy;
+/// first-match is the only one, and the argument stays because the
+/// benchmark crate passes it.
 pub fn run_parallel_dispatch<B: ConcurrentBackend>(
     backend: &B,
     trips: &[Trip],
@@ -236,6 +205,7 @@ pub fn run_parallel_dispatch<B: ConcurrentBackend>(
     threads: usize,
     spec: DispatchSpec,
 ) -> SimReport {
+    let DispatchSpec::First = spec;
     let threads = threads.max(1);
     let registry = backend.registry().unwrap_or_else(|| Arc::new(Registry::new()));
     // Thread 0 doubles as the tracker; the rest never run sweeps.
@@ -250,8 +220,7 @@ pub fn run_parallel_dispatch<B: ConcurrentBackend>(
                     let slice: Vec<Trip> =
                         trips.iter().skip(t).step_by(threads).copied().collect();
                     let mut worker = WorkerBackend { inner: backend, registry };
-                    let mut policy = spec.build(cfg);
-                    crate::dispatch::run_dispatch(&mut worker, &slice, cfg, policy.as_mut())
+                    run_simulation(&mut worker, &slice, cfg)
                 })
             })
             .collect();
@@ -310,7 +279,7 @@ mod tests {
             tracks: AtomicU64::new(0),
         };
         let cfg = SimConfig { track_every_s: Some(600.0), ..Default::default() };
-        let r = run_parallel_simulation(&b, &trips, &cfg, 4);
+        let r = run_parallel_dispatch(&b, &trips, &cfg, 4, DispatchSpec::First);
         assert_eq!(b.searches.load(Ordering::Relaxed), 101);
         assert_eq!(b.creates.load(Ordering::Relaxed), 101);
         assert!(b.tracks.load(Ordering::Relaxed) > 0, "thread 0 must run sweeps");
@@ -332,7 +301,7 @@ mod tests {
             tracks: AtomicU64::new(0),
         };
         let cfg = SimConfig { track_every_s: None, ..Default::default() };
-        let r = run_parallel_simulation(&b, &trips, &cfg, 0);
+        let r = run_parallel_dispatch(&b, &trips, &cfg, 0, DispatchSpec::First);
         assert_eq!(r.looks, 10);
     }
 

@@ -2,18 +2,15 @@
 //! system under test.
 //!
 //! The replay loop itself lives in [`crate::dispatch`]: this module
-//! keeps the configuration ([`SimConfig`]), the system-under-test
-//! abstraction ([`RideBackend`]) and the classic entry point
-//! ([`run_simulation`]), which drives the paper's first-match protocol
-//! through the pipeline.
+//! keeps the configuration ([`SimConfig`]) and the system-under-test
+//! abstraction ([`RideBackend`]).
 
 use std::sync::Arc;
 
 use xar_core::{Reason, RideOffer, RideRequest, SearchExplain};
 use xar_obs::Registry;
 
-use crate::dispatch::{Candidate, DispatchPolicy, FirstMatch};
-use crate::report::SimReport;
+use crate::dispatch::Candidate;
 use crate::trips::Trip;
 
 /// Simulation parameters shared by both systems.
@@ -106,30 +103,13 @@ pub trait RideBackend {
             SearchExplain { candidates: matches.len() as u32, ..SearchExplain::default() };
         (matches, explain)
     }
-    /// Book a match; `false` if the booking failed (stale match).
+    /// Book a match; [`BookResult::Failed`] if it went stale.
     fn book(&mut self, m: &Self::Match, cfg: &SimConfig) -> BookResult;
-    /// Book a match after re-validating its feasibility (seats +
-    /// detour budget) against the live engine — the commit primitive
-    /// of batched dispatch, where candidates can go stale between
-    /// search and commit. Defaults to plain [`RideBackend::book`] for
-    /// backends whose `book` already re-checks everything it needs.
-    fn book_checked(&mut self, m: &Self::Match, cfg: &SimConfig) -> BookResult {
-        self.book(m, cfg)
-    }
-    /// Commit a whole batch window's picked matches at once, results
-    /// index-aligned with `ms`. Backends with per-write publication
-    /// cost override this to coalesce it (one snapshot publish per
-    /// touched shard instead of per booking); the default is the
-    /// sequential loop, so semantics never differ.
-    fn book_checked_batch(&mut self, ms: &[&Self::Match], cfg: &SimConfig) -> Vec<BookResult> {
-        ms.iter().map(|m| self.book_checked(m, cfg)).collect()
-    }
-    /// Reduce a match to the [`Candidate`] edge the assignment stage
-    /// scores: target ride, score (lower better), estimated detour.
-    /// The default is a zero edge, fine for backends never driven
-    /// through a batching policy.
+    /// Reduce a match to the ride it books, which the driver records
+    /// in the request's [`crate::Decision`] and wide event. The default
+    /// is ride 0, for backends that do not expose ride identities.
     fn describe(_m: &Self::Match) -> Candidate {
-        Candidate { ride: 0, score: 0.0, detour_m: 0.0 }
+        Candidate { ride: 0 }
     }
     /// Offer `trip` as a new ride; on failure, the typed
     /// [`Reason`] the request becomes unservable with (e.g.
@@ -138,9 +118,9 @@ pub trait RideBackend {
     /// Advance the system clock (tracking sweep).
     fn track(&mut self, now_s: f64);
     /// The backend's own metric registry, if it keeps one. When
-    /// present, [`run_simulation`] records its `sim.*` phase metrics
-    /// into the same registry, so one snapshot covers the whole stack
-    /// (simulator phases + engine internals + lock telemetry).
+    /// present, [`crate::run_simulation`] records its `sim.*` phase
+    /// metrics into the same registry, so one snapshot covers the whole
+    /// stack (simulator phases + engine internals + lock telemetry).
     fn registry(&self) -> Option<Arc<Registry>> {
         None
     }
@@ -180,40 +160,10 @@ pub enum BookResult {
     Failed(Reason),
 }
 
-/// Run the §X.A.2 protocol over `trips`: search; book the best match
-/// if any (falling through the match list on stale entries); otherwise
-/// create a new ride. Per-operation wall-clock latencies are recorded
-/// in the returned report.
-///
-/// When the global trace recorder is enabled, every trip becomes one
-/// `request` trace (born → searched → offered → booked/created/
-/// unservable), every tracking sweep one `track` trace, and booked
-/// requests later receive `request.picked_up` / `request.dropped_off`
-/// lifecycle instants as simulated time passes their ETAs — a single
-/// rider's full timeline is reconstructable from the export.
-pub fn run_simulation<B: RideBackend>(
-    backend: &mut B,
-    trips: &[Trip],
-    cfg: &SimConfig,
-) -> SimReport {
-    run_simulation_with(backend, trips, cfg, &mut FirstMatch)
-}
-
-/// [`run_simulation`] under an explicit [`DispatchPolicy`]: the
-/// three-stage pipeline (generate candidates → assign → commit) with
-/// `policy` in the assignment seat.
-pub fn run_simulation_with<B: RideBackend, P: DispatchPolicy + ?Sized>(
-    backend: &mut B,
-    trips: &[Trip],
-    cfg: &SimConfig,
-    policy: &mut P,
-) -> SimReport {
-    crate::dispatch::run_dispatch(backend, trips, cfg, policy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::run_simulation;
     use crate::trips::{generate_trips, TripGenConfig};
     use xar_roadnet::CityConfig;
 

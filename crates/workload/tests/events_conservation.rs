@@ -1,24 +1,24 @@
-//! End-to-end conservation of the wide-event plane (ISSUE 9,
-//! satellite 3): every request of a dispatch run emits exactly one
-//! event, the events reconcile with the run's `sim.requests{outcome}`
-//! / `sim.reject_reason{reason=...}` counters, and **no** rejection
+//! End-to-end conservation of the wide-event plane: every request of
+//! a dispatch run — serial or parallel — emits exactly one event, the
+//! events reconcile with the run's `sim.requests{outcome}` /
+//! `sim.reject_reason{reason=...}` counters, and **no** rejection
 //! decodes to `Reason::Unknown` — the taxonomy is closed over every
-//! real rejection path (satellite 2's runtime half).
+//! real rejection path.
 //!
 //! All tests share the process-global event sink, so they serialize on
 //! one mutex and live in one integration binary.
 
 use std::sync::{Arc, Mutex};
 
-use xar_core::{EngineConfig, Reason, XarEngine};
+use xar_core::{EngineConfig, Reason, ShardedXarEngine, XarEngine};
 use xar_discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xar_obs::events;
 use xar_roadnet::{sample_pois, CityConfig, PoiConfig};
 use xar_workload::backend::{TShareBackend, XarBackend};
-use xar_workload::dispatch::DispatchSpec;
 use xar_workload::report::SimReport;
-use xar_workload::sim::{run_simulation_with, SimConfig};
+use xar_workload::sim::SimConfig;
 use xar_workload::trips::{generate_trips, TripGenConfig};
+use xar_workload::{run_parallel_dispatch, run_simulation, DispatchSpec, ShardedXarBackend};
 use xar_tshare::{TShareConfig, TShareEngine};
 
 /// The process-global sink serializes the tests.
@@ -42,22 +42,29 @@ fn region(graph: &Arc<xar_roadnet::RoadGraph>) -> Arc<RegionIndex> {
     ))
 }
 
-/// Run `trips` through a fresh XAR backend under `spec` with the event
-/// sink capturing everything, and return (report, events snapshot).
+/// Run `trips` through a fresh XAR engine with the event sink
+/// capturing everything, and return (report, events snapshot). One
+/// thread runs the serial driver on a single engine; more run the
+/// parallel driver on a 4-shard engine.
 fn run_with_events(
     seed: u64,
     trips: usize,
     cfg: &SimConfig,
-    spec: DispatchSpec,
+    threads: usize,
 ) -> (SimReport, events::EventsSnapshot) {
     let graph = city(seed);
     let reg = region(&graph);
     let ts = generate_trips(&graph, &TripGenConfig { count: trips, ..Default::default() });
-    let mut backend = XarBackend::new(XarEngine::new(reg, EngineConfig::default()));
     events::configure(events::DEFAULT_CAPACITY);
     events::set_enabled(true);
-    let mut policy = spec.build(cfg);
-    let report = run_simulation_with(&mut backend, &ts, cfg, policy.as_mut());
+    let report = if threads == 1 {
+        let mut backend = XarBackend::new(XarEngine::new(reg, EngineConfig::default()));
+        run_simulation(&mut backend, &ts, cfg)
+    } else {
+        let backend =
+            ShardedXarBackend::new(ShardedXarEngine::new(reg, EngineConfig::default(), 4));
+        run_parallel_dispatch(&backend, &ts, cfg, threads, DispatchSpec::First)
+    };
     events::set_enabled(false);
     let snap = events::snapshot();
     (report, snap)
@@ -116,30 +123,27 @@ fn assert_conserved(report: &SimReport, snap: &events::EventsSnapshot) {
 fn first_match_run_conserves_and_never_says_unknown() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = SimConfig { track_every_s: None, ..Default::default() };
-    let (report, snap) = run_with_events(42, 500, &cfg, DispatchSpec::First);
+    let (report, snap) = run_with_events(42, 500, &cfg, 1);
     assert!(report.booked > 0, "workload must produce shares");
     assert_conserved(&report, &snap);
 }
 
+/// Four workers emit into the one sink from their own threads; each
+/// flushes its buffer when its replay ends, so the post-run snapshot
+/// still holds exactly one event per request.
 #[test]
-fn batch_window_run_conserves_and_never_says_unknown() {
+fn parallel_run_conserves_and_never_says_unknown() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let cfg = SimConfig { track_every_s: None, ..Default::default() };
-    let (report, snap) =
-        run_with_events(43, 500, &cfg, DispatchSpec::Batch { window_ms: 50 });
+    let cfg = SimConfig { track_every_s: Some(600.0), ..Default::default() };
+    let (report, snap) = run_with_events(43, 500, &cfg, 4);
     assert!(report.booked > 0, "workload must produce shares");
     assert_conserved(&report, &snap);
-    // Batched runs stamp a shared window id: booked-with-siblings
-    // requests must not all sit in distinct windows.
-    let windows: std::collections::HashSet<u64> =
-        snap.events.iter().map(|e| e.window).collect();
-    assert!(windows.len() < snap.events.len(), "batching must group requests into windows");
 }
 
 /// Property-style sweep (no external proptest dependency): randomized
 /// hostile configurations — starved seats, tiny detour budgets, tight
-/// walking limits, narrow windows, batch and first-match dispatch —
-/// must keep the taxonomy closed and the accounting conserved on every
+/// walking limits, narrow windows, serial and parallel drivers — must
+/// keep the taxonomy closed and the accounting conserved on every
 /// run. These configs are chosen to excite *every* rejection family:
 /// CapacityFull, DetourBudgetExceeded, WalkLimitExceeded,
 /// NoClusterCandidates, stale paths.
@@ -164,12 +168,8 @@ fn hostile_config_sweep_emits_zero_unknown() {
             seats: [1, 2, 3][(next() % 3) as usize],
             ..Default::default()
         };
-        let spec = if next() % 2 == 0 {
-            DispatchSpec::First
-        } else {
-            DispatchSpec::Batch { window_ms: 20 + next() % 200 }
-        };
-        let (report, snap) = run_with_events(100 + round, 250, &cfg, spec);
+        let threads = if next() % 2 == 0 { 1 } else { 3 };
+        let (report, snap) = run_with_events(100 + round, 250, &cfg, threads);
         assert_conserved(&report, &snap);
     }
 }
@@ -190,8 +190,7 @@ fn tshare_default_explain_stays_closed() {
     let cfg = SimConfig { track_every_s: None, ..Default::default() };
     events::configure(events::DEFAULT_CAPACITY);
     events::set_enabled(true);
-    let mut policy = DispatchSpec::First.build(&cfg);
-    let report = run_simulation_with(&mut backend, &ts, &cfg, policy.as_mut());
+    let report = run_simulation(&mut backend, &ts, &cfg);
     events::set_enabled(false);
     let snap = events::snapshot();
     assert_conserved(&report, &snap);
@@ -204,8 +203,7 @@ fn tshare_default_explain_stays_closed() {
 fn jsonl_round_trip_reconciles_with_run() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = SimConfig { track_every_s: None, ..Default::default() };
-    let (report, snap) =
-        run_with_events(55, 300, &cfg, DispatchSpec::Batch { window_ms: 50 });
+    let (report, snap) = run_with_events(55, 300, &cfg, 1);
     let text = events::to_jsonl(&snap);
     let log = events::parse_jsonl(&text).expect("run output must parse");
     assert_eq!(log.events.len() as u64, snap.kept());

@@ -8,8 +8,8 @@ use xar_core::{EngineConfig, ShardedXarEngine};
 use xar_discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xar_roadnet::{sample_pois, CityConfig, PoiConfig};
 use xar_workload::{
-    generate_trips, run_parallel_simulation, run_simulation, ShardedXarBackend, SimConfig,
-    TripGenConfig, XarBackend,
+    generate_trips, run_parallel_dispatch, run_simulation, DispatchSpec, ShardedXarBackend,
+    SimConfig, TripGenConfig, XarBackend,
 };
 
 fn region() -> Arc<RegionIndex> {
@@ -36,7 +36,7 @@ fn parallel_simulation_conserves_requests_and_never_overbooks() {
     let trips = generate_trips(&graph, &TripGenConfig { count: TRIPS, ..Default::default() });
     let cfg = SimConfig::default();
     let backend = ShardedXarBackend::new(ShardedXarEngine::new(reg, EngineConfig::default(), 4));
-    let report = run_parallel_simulation(&backend, &trips, &cfg, THREADS);
+    let report = run_parallel_dispatch(&backend, &trips, &cfg, THREADS, DispatchSpec::First);
 
     // Conservation: every trip resolved to exactly one outcome, in the
     // merged report AND in the shared registry counters (satellite:
@@ -91,7 +91,7 @@ fn single_threaded_parallel_driver_matches_serial_outcomes() {
 
     let backend =
         ShardedXarBackend::new(ShardedXarEngine::new(reg, EngineConfig::default(), 1));
-    let rp = run_parallel_simulation(&backend, &trips, &cfg, 1);
+    let rp = run_parallel_dispatch(&backend, &trips, &cfg, 1, DispatchSpec::First);
 
     assert_eq!(rs.booked, rp.booked);
     assert_eq!(rs.created, rp.created);

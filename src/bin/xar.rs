@@ -14,8 +14,7 @@
 //!              [--metrics-out FILE] [--trace-out FILE]
 //!              [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N]
 //!              [--events-out FILE] [--baseline tshare] [--threads N]
-//!              [--shards N] [--dispatch first|batch:MS]
-//!              [--compress-day-s F]
+//!              [--shards N]
 //!     Run the paper's §X.A.2 ride-sharing simulation over a synthetic
 //!     taxi day and report outcome + latency statistics. `--json` dumps
 //!     the full report (counters, percentiles, metrics) as JSON;
@@ -28,15 +27,13 @@
 //!     through the T-Share baseline so the trace and metrics cover
 //!     both systems. `--threads N` (default 1) drives the replay from
 //!     N closed-loop workers against the cluster-sharded engine
-//!     (`--shards`, default 8); an invalid `--threads` value exits
-//!     with code 9. `--dispatch batch:MS` (default `first`) routes
-//!     requests through the batch-window assignment policy; invalid
-//!     values also exit 9. `--compress-day-s F` rescales the trip day
-//!     onto F seconds so millisecond windows hold real batches.
+//!     (`--shards`, default 8). An invalid `--threads` or `--shards`
+//!     value, or a `--walk`, `--window` or `--detour` that is not a
+//!     finite non-negative number, exits with code 9.
 //!     `--events-out FILE` turns on the wide-event sink and writes one
 //!     structured decision record per request (outcome, typed rejection
-//!     reason, search tier, candidate count, batch-window id,
-//!     latencies) as segmented JSONL — the input of `xar logs`.
+//!     reason, search tier, candidate count, latencies) as segmented
+//!     JSONL — the input of `xar logs`.
 //!
 //! xar logs --in events.jsonl [--outcome X] [--reason Y]
 //!          [--slower-than MS] [--request ID] [--top N]
@@ -114,8 +111,8 @@ use xhare_a_ride::discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xhare_a_ride::roadnet::{sample_pois, CityConfig, PoiConfig};
 use xhare_a_ride::tshare::{TShareConfig, TShareEngine};
 use xhare_a_ride::workload::{
-    generate_trips, percentile_ns, run_parallel_dispatch, run_simulation, run_simulation_with,
-    DispatchSpec, ShardedXarBackend, SimConfig, TShareBackend, TripGenConfig, XarBackend,
+    generate_trips, percentile_ns, run_parallel_dispatch, run_simulation, DispatchSpec,
+    ShardedXarBackend, SimConfig, TShareBackend, TripGenConfig, XarBackend,
 };
 
 /// Flags that take no value (presence alone means `true`).
@@ -133,9 +130,9 @@ const COMMANDS: &[(&str, &[&str], Command)] = &[
         "simulate",
         &[
             "region", "trips", "seed", "k", "walk", "window", "detour", "threads", "shards",
-            "dispatch", "compress-day-s", "json", "metrics-out", "trace-out", "trace-slow-ms",
-            "trace-sample", "trace-buffer", "events-out", "baseline", "serve", "slo", "slo-fail",
-            "tick-ms", "linger-s", "max-backlog",
+            "json", "metrics-out", "trace-out", "trace-slow-ms", "trace-sample", "trace-buffer",
+            "events-out", "baseline", "serve", "slo", "slo-fail", "tick-ms", "linger-s",
+            "max-backlog",
         ],
         simulate,
     ),
@@ -238,19 +235,25 @@ impl Flags {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  xar build-region [--rows N] [--cols N] [--seed S] [--delta M | --clusters C] --out FILE\n  xar inspect --region FILE\n  xar simulate --region FILE [--trips N] [--seed S] [--k N] [--walk M] [--window S] [--detour M] [--threads N] [--shards N] [--dispatch first|batch:MS] [--compress-day-s F] [--json FILE] [--metrics-out FILE] [--trace-out FILE] [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N] [--events-out FILE] [--baseline tshare] [--serve ADDR] [--slo RULE]... [--slo-fail] [--tick-ms N] [--linger-s F] [--max-backlog N]\n  xar logs --in FILE [--outcome X] [--reason Y] [--slower-than MS] [--request ID] [--top N]\n  xar trace --in FILE [--top N] [--check]\n  xar top --connect ADDR [--interval-ms N] [--frames N] [--plain]\n  xar profile --out FILE [--format collapsed|speedscope] [--alloc] [--rows N] [--cols N] [--seed S] [--trips N] [--top N]"
+    "usage:\n  xar build-region [--rows N] [--cols N] [--seed S] [--delta M | --clusters C] --out FILE\n  xar inspect --region FILE\n  xar simulate --region FILE [--trips N] [--seed S] [--k N] [--walk M] [--window S] [--detour M] [--threads N] [--shards N] [--json FILE] [--metrics-out FILE] [--trace-out FILE] [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N] [--events-out FILE] [--baseline tshare] [--serve ADDR] [--slo RULE]... [--slo-fail] [--tick-ms N] [--linger-s F] [--max-backlog N]\n  xar logs --in FILE [--outcome X] [--reason Y] [--slower-than MS] [--request ID] [--top N]\n  xar trace --in FILE [--top N] [--check]\n  xar top --connect ADDR [--interval-ms N] [--frames N] [--plain]\n  xar profile --out FILE [--format collapsed|speedscope] [--alloc] [--rows N] [--cols N] [--seed S] [--trips N] [--top N]"
 }
 
 fn build_region(flags: &Flags) -> Result<(), CmdError> {
-    let rows: usize = flags.get("rows", 60)?;
-    let cols: usize = flags.get("cols", 60)?;
+    let rows = lattice_flag(flags, "rows", 60)?;
+    let cols = lattice_flag(flags, "cols", 60)?;
     let seed: u64 = flags.get("seed", 1)?;
-    let out = flags.require("out")?;
-    let goal = if let Some(c) = flags.get_opt("clusters") {
-        ClusterGoal::FixedCount(c.parse().map_err(|_| "invalid --clusters".to_string())?)
+    let goal = if flags.get_opt("clusters").is_some() {
+        ClusterGoal::FixedCount(checked_flag(
+            flags,
+            "clusters",
+            1,
+            |c| c >= 1,
+            "a positive integer",
+        )?)
     } else {
-        ClusterGoal::Delta(flags.get("delta", 250.0)?)
+        ClusterGoal::Delta(non_negative_flag(flags, "delta", 250.0)?)
     };
+    let out = flags.require("out")?;
 
     eprintln!("generating {rows}x{cols} city (seed {seed})...");
     let graph = Arc::new(CityConfig::manhattan(rows, cols, seed).generate());
@@ -293,76 +296,36 @@ fn inspect(flags: &Flags) -> Result<(), CmdError> {
     Ok(())
 }
 
-/// Parse `--threads` as a single worker count (default 1). Invalid
-/// values — non-numeric, zero, out of range — exit with the distinct
-/// code 9 so scripts can tell a bad invocation from a failed run.
-fn parse_threads_flag(flags: &Flags) -> Result<usize, CmdError> {
-    match flags.get_opt("threads") {
-        None => Ok(1),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if (1..=256).contains(&n) => Ok(n),
-            _ => Err(CmdError::coded(
-                9,
-                format!(
-                    "--threads must be an integer in 1..=256, got '{v}' \
-                     (use --threads 1 for the serial driver)"
-                ),
-            )),
+/// Parse the numeric flag `key` (absent: `default`). A value that
+/// does not parse, or fails `ok`, exits with the distinct code 9 and a
+/// message naming the flag and `expected`, so scripts can tell a bad
+/// invocation from a failed run.
+fn checked_flag<T: std::str::FromStr + Copy>(
+    flags: &Flags,
+    key: &str,
+    default: T,
+    ok: impl Fn(T) -> bool,
+    expected: &str,
+) -> Result<T, CmdError> {
+    match flags.get_opt(key) {
+        None => Ok(default),
+        Some(v) => match v.parse::<T>() {
+            Ok(x) if ok(x) => Ok(x),
+            _ => Err(CmdError::coded(9, format!("--{key} must be {expected}, got '{v}'"))),
         },
     }
 }
 
-/// Parse `--dispatch` (default `first`); invalid values share the
-/// exit-code-9 contract of the other invocation flags.
-fn parse_dispatch_flag(flags: &Flags) -> Result<DispatchSpec, CmdError> {
-    match flags.get_opt("dispatch") {
-        None => Ok(DispatchSpec::First),
-        Some(v) => DispatchSpec::parse(v).map_err(|e| CmdError::coded(9, e)),
-    }
+/// [`checked_flag`] for a distance or duration: finite and ≥ 0.
+fn non_negative_flag(flags: &Flags, key: &str, default: f64) -> Result<f64, CmdError> {
+    let ok = |x: f64| x.is_finite() && x >= 0.0;
+    checked_flag(flags, key, default, ok, "a finite non-negative number")
 }
 
-/// Parse `--compress-day-s` (default: off): rescale the generated
-/// trip day onto `[0, F]` seconds so millisecond batch windows hold
-/// more than one request. Invalid values share the exit-code-9
-/// contract.
-fn parse_compress_flag(flags: &Flags) -> Result<Option<f64>, CmdError> {
-    match flags.get_opt("compress-day-s") {
-        None => Ok(None),
-        Some(v) => match v.parse::<f64>() {
-            Ok(f) if f.is_finite() && f > 0.0 => Ok(Some(f)),
-            _ => Err(CmdError::coded(
-                9,
-                format!("--compress-day-s must be a positive number of seconds, got '{v}'"),
-            )),
-        },
-    }
-}
-
-/// Linearly rescale trip pick-up times onto `[0, span_s]`, preserving
-/// their order — the request *sequence* is untouched, only the arrival
-/// rate changes.
-fn compress_day(trips: &mut [xhare_a_ride::workload::Trip], span_s: f64) {
-    let Some(first) = trips.first().map(|t| t.pickup_s) else { return };
-    let last = trips.last().map(|t| t.pickup_s).unwrap_or(first);
-    let span = (last - first).max(f64::MIN_POSITIVE);
-    for t in trips.iter_mut() {
-        t.pickup_s = (t.pickup_s - first) / span * span_s;
-    }
-}
-
-/// Parse `--shards` (default [`DEFAULT_SHARDS`]); out-of-range values
-/// share the exit-code-9 contract.
-fn parse_shards_flag(flags: &Flags) -> Result<usize, CmdError> {
-    match flags.get_opt("shards") {
-        None => Ok(DEFAULT_SHARDS),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if (1..=MAX_SHARDS).contains(&n) => Ok(n),
-            _ => Err(CmdError::coded(
-                9,
-                format!("--shards must be an integer in 1..={MAX_SHARDS}, got '{v}'"),
-            )),
-        },
-    }
+/// [`checked_flag`] for a city lattice side: the generator needs at
+/// least a 2×2 grid.
+fn lattice_flag(flags: &Flags, key: &str, default: usize) -> Result<usize, CmdError> {
+    checked_flag(flags, key, default, |n| n >= 2, "an integer of at least 2")
 }
 
 /// The simulation's system under test: the serial single-engine
@@ -376,17 +339,27 @@ enum SimUnderTest {
 fn simulate(flags: &Flags) -> Result<(), CmdError> {
     // Validated before any heavy work so a bad value fails fast with
     // its distinct exit code.
-    let threads = parse_threads_flag(flags)?;
-    let shards = parse_shards_flag(flags)?;
-    let dispatch = parse_dispatch_flag(flags)?;
-    let compress = parse_compress_flag(flags)?;
+    let threads = checked_flag(
+        flags,
+        "threads",
+        1,
+        |n| (1..=256).contains(&n),
+        "an integer in 1..=256 (use --threads 1 for the serial driver)",
+    )?;
+    let shards = checked_flag(
+        flags,
+        "shards",
+        DEFAULT_SHARDS,
+        |n| (1..=MAX_SHARDS).contains(&n),
+        &format!("an integer in 1..={MAX_SHARDS}"),
+    )?;
+    let walk = non_negative_flag(flags, "walk", 800.0)?;
+    let window = non_negative_flag(flags, "window", 1_200.0)?;
+    let detour = non_negative_flag(flags, "detour", 4_000.0)?;
     let path = flags.require("region")?;
     let trips_n: usize = flags.get("trips", 10_000)?;
     let seed: u64 = flags.get("seed", 0x7A11)?;
     let k: usize = flags.get("k", usize::MAX)?;
-    let walk: f64 = flags.get("walk", 800.0)?;
-    let window: f64 = flags.get("window", 1_200.0)?;
-    let detour: f64 = flags.get("detour", 4_000.0)?;
 
     let events_out = flags.get_opt("events-out").map(str::to_string);
     if events_out.is_some() {
@@ -413,19 +386,10 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
 
     let region =
         Arc::new(RegionIndex::load(path).map_err(|e| format!("cannot read {path}: {e}"))?);
-    let mut trips = generate_trips(
+    let trips = generate_trips(
         region.graph(),
         &TripGenConfig { count: trips_n, seed, ..Default::default() },
     );
-    if let Some(span_s) = compress {
-        compress_day(&mut trips, span_s);
-        eprintln!(
-            "day compressed : {} trips over {span_s} s ({:.0} req/s)",
-            trips.len(),
-            trips.len() as f64 / span_s,
-        );
-    }
-    let trips = trips;
     eprintln!("simulating {} trips on {} clusters...", trips.len(), region.cluster_count());
     let mut sim = if threads == 1 {
         SimUnderTest::Serial(Box::new(XarBackend::new(XarEngine::new(
@@ -521,11 +485,10 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
     }
 
     let report = match &mut sim {
-        SimUnderTest::Serial(b) => {
-            let mut policy = dispatch.build(&cfg);
-            run_simulation_with(b.as_mut(), &trips, &cfg, policy.as_mut())
+        SimUnderTest::Serial(b) => run_simulation(b.as_mut(), &trips, &cfg),
+        SimUnderTest::Parallel(b) => {
+            run_parallel_dispatch(&*b, &trips, &cfg, threads, DispatchSpec::First)
         }
-        SimUnderTest::Parallel(b) => run_parallel_dispatch(&*b, &trips, &cfg, threads, dispatch),
     };
 
     // Snapshot the wide-event plane before the baseline replay so the
@@ -544,15 +507,6 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
     }
 
     println!("trips          : {}", trips.len());
-    // Machine-read by the CI dispatch gate — keep the line shape stable.
-    println!(
-        "dispatch       : policy={} service_rate={:.6} stale_commits={} windows={} swaps={}",
-        dispatch.label(),
-        report.service_rate(),
-        report.stale_commits,
-        report.window_ns.len(),
-        report.swaps,
-    );
     println!("booked         : {} ({:.1}% share rate)", report.booked, report.share_rate() * 100.0);
     println!("created        : {}", report.created);
     println!("unservable     : {}", report.unservable);
@@ -797,7 +751,7 @@ fn trace_cmd(flags: &Flags) -> Result<(), CmdError> {
 fn event_line(e: &xar_obs::events::ParsedEvent) -> String {
     let mut line = format!(
         "req {:<8} t={:>8.1}s  {:<10} reason={:<24} tier={} cand={:<4} matches={:<3} \
-         stale={:<2} window={:<5} search={:>8.1}µs book={:>7.1}µs",
+         stale={:<2} search={:>8.1}µs book={:>7.1}µs",
         e.request_id,
         e.sim_t_s,
         e.outcome,
@@ -806,7 +760,6 @@ fn event_line(e: &xar_obs::events::ParsedEvent) -> String {
         e.candidates,
         e.matches,
         e.stale,
-        e.window,
         e.search_ns as f64 / 1e3,
         e.book_ns as f64 / 1e3,
     );
@@ -939,6 +892,8 @@ fn logs_cmd(flags: &Flags) -> Result<(), CmdError> {
 /// against the in-memory profile before success is reported — CI greps
 /// the `validated` line.
 fn profile_cmd(flags: &Flags) -> Result<(), CmdError> {
+    let rows = lattice_flag(flags, "rows", 24)?;
+    let cols = lattice_flag(flags, "cols", 24)?;
     let out = flags.require("out")?.to_string();
     let format = flags.get_opt("format").unwrap_or("collapsed").to_string();
     if format != "collapsed" && format != "speedscope" {
@@ -946,8 +901,6 @@ fn profile_cmd(flags: &Flags) -> Result<(), CmdError> {
             "unknown --format '{format}' (expected 'collapsed' or 'speedscope')"
         )));
     }
-    let rows: usize = flags.get("rows", 24)?;
-    let cols: usize = flags.get("cols", 24)?;
     let seed: u64 = flags.get("seed", 0x9F0F)?;
     let trips_n: usize = flags.get("trips", 2_000)?;
     let top: usize = flags.get("top", 10)?;
@@ -1083,7 +1036,7 @@ fn render_top_frame(p: &xar_obs::promtext::PromText) -> String {
     out.push('\n');
 
     // Rejection-reason breakdown (the wide-event taxonomy, counted by
-    // the dispatch pipeline into sim_reject_reason{reason=...}).
+    // the dispatch driver into sim_reject_reason{reason=...}).
     let mut rejects: Vec<(String, f64)> = p
         .with_name("sim_reject_reason")
         .filter_map(|s| s.label("reason").map(|r| (r.to_string(), s.value)))

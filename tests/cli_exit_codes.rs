@@ -3,9 +3,10 @@
 //! error (including an unknown command or flag), 2 = unreadable /
 //! invalid trace JSON, 3 = trace with no complete request timeline,
 //! 4 = trace missing the drop counter, 8 = `--slo-fail` with a fired
-//! SLO, 9 = invalid `--threads` / `--shards` / `--dispatch` /
-//! `--compress-day-s` / `xar logs` filter value, 10 = `--max-backlog`
-//! snapshot retire-backlog gate. Code 7 is retired and stays unused.
+//! SLO, 9 = invalid flag value (`--threads`, `--shards`, `--walk`,
+//! `--window`, `--detour`, `--rows`, `--cols`, `--clusters`, `--delta`,
+//! or an `xar logs` filter), 10 = `--max-backlog` snapshot
+//! retire-backlog gate. Code 7 is retired and stays unused.
 //! `xar logs` reuses 2 (unreadable / invalid events file) and 3 (no
 //! events, or none matching the filters). The full table lives in
 //! README.md § Exit codes.
@@ -80,12 +81,6 @@ fn invalid_threads_or_shards_exit_9_with_a_clear_message() {
         ["simulate", "--threads", "-4"],
         ["simulate", "--shards", "0"],
         ["simulate", "--shards", "999"],
-        ["simulate", "--dispatch", "nonsense"],
-        ["simulate", "--dispatch", "batch:"],
-        ["simulate", "--dispatch", "batch:-50"],
-        ["simulate", "--dispatch", "batch:1.5"],
-        ["simulate", "--compress-day-s", "0"],
-        ["simulate", "--compress-day-s", "-10"],
     ] {
         let out = xar(&args);
         assert_eq!(code(&out), 9, "{args:?} -> {out:?}");
@@ -107,6 +102,32 @@ fn invalid_threads_or_shards_exit_9_with_a_clear_message() {
         "--shards", "2",
     ]);
     assert_eq!(code(&out), 0, "{out:?}");
+}
+
+#[test]
+fn hostile_size_and_limit_flags_exit_9_naming_the_flag() {
+    // Each of these used to panic (exit 101) or be silently accepted.
+    // All are validated before any file is read or written, so none
+    // needs a fixture.
+    for (args, flag) in [
+        (&["build-region", "--rows", "0", "--cols", "0"][..], "--rows"),
+        (&["build-region", "--rows", "1", "--cols", "1"][..], "--rows"),
+        (&["build-region", "--cols", "1"][..], "--cols"),
+        (&["build-region", "--clusters", "0"][..], "--clusters"),
+        (&["build-region", "--delta", "-1"][..], "--delta"),
+        (&["build-region", "--delta", "NaN"][..], "--delta"),
+        (&["profile", "--rows", "0", "--cols", "0"][..], "--rows"),
+        (&["simulate", "--walk", "NaN"][..], "--walk"),
+        (&["simulate", "--walk", "-1"][..], "--walk"),
+        (&["simulate", "--window", "-3"][..], "--window"),
+        (&["simulate", "--detour", "-1"][..], "--detour"),
+        (&["simulate", "--detour", "inf"][..], "--detour"),
+    ] {
+        let out = xar(args);
+        assert_eq!(code(&out), 9, "{args:?} -> {out:?}");
+        let msg = String::from_utf8_lossy(&out.stderr);
+        assert!(msg.contains(flag), "{args:?}: {msg}");
+    }
 }
 
 #[test]
@@ -337,12 +358,11 @@ fn logs_answers_why_for_every_unserved_request_of_a_real_run() {
     ]);
     assert_eq!(code(&out), 0, "build-region failed: {out:?}");
 
-    // A batch-dispatch run with the event sink on writes the JSONL file
-    // and reports conserved accounting on stdout.
+    // A run with the event sink on writes the JSONL file and reports
+    // conserved accounting on stdout.
     let events = dir.join("events.jsonl");
     let out = xar(&[
         "simulate", "--region", region.to_str().unwrap(), "--trips", "400",
-        "--dispatch", "batch:50", "--compress-day-s", "5",
         "--events-out", events.to_str().unwrap(),
     ]);
     assert_eq!(code(&out), 0, "{out:?}");
@@ -385,6 +405,10 @@ fn unknown_commands_and_flags_exit_1_naming_them() {
         &["simulate", "--max-p99-ratio", "25"][..],
         &["simulate", "--searches", "4000"][..],
         &["simulate", "--storm", "400"][..],
+        &["simulate", "--dispatch", "nonsense"][..],
+        &["simulate", "--dispatch", "batch:"][..],
+        &["simulate", "--dispatch", "batch:-50"][..],
+        &["simulate", "--dispatch", "batch:1.5"][..],
     ] {
         let out = xar(args);
         assert_eq!(code(&out), 1, "{args:?} -> {out:?}");
